@@ -45,10 +45,12 @@ class SearchMethod(abc.ABC):
     Lifecycle: construct with hyper-parameters, :meth:`index` once over
     the federation's semantic representation, then :meth:`search` any
     number of queries — or :meth:`search_batch` to amortize encode and
-    scan work over many queries at once.  ``search`` handles timing,
-    thresholding and top-k truncation uniformly; subclasses implement
-    :meth:`_score_all` returning per-relation scores and may override
-    :meth:`_score_batch` with a genuinely batched kernel.
+    scan work over many queries at once.  ``search`` handles timing
+    and ranks through :meth:`_top_k` / :meth:`_top_k_batch`, whose
+    defaults threshold, sort and truncate what :meth:`_score_all`
+    (or a genuinely batched :meth:`_score_batch`) returns; a method
+    that scores *every* relation overrides the pair to rank its score
+    arrays and build result objects for the ≤ k winners only.
 
     Every method records into :attr:`metrics` — per-stage latency
     histograms (``<name>.encode`` / ``scan`` / ``route`` / ``rank``)
@@ -177,9 +179,10 @@ class SearchMethod(abc.ABC):
         of the derived structures (no re-embedding)."""
         self._build()
 
-    @abc.abstractmethod
     def _score_all(self, query: str) -> list[RelationMatch]:
-        """Score candidate relations for a query (any order, unfiltered)."""
+        """Score candidate relations for a query (any order, unfiltered);
+        optional for methods that override :meth:`_top_k` instead."""
+        raise NotImplementedError(f"{type(self).__name__} ranks through _top_k")
 
     def _finalize(self, matches: list[RelationMatch], k: int, h: float) -> list[RelationMatch]:
         """Threshold, sort and truncate raw scores (paper Sec 3)."""
@@ -187,6 +190,11 @@ class SearchMethod(abc.ABC):
             matches = [m for m in matches if m.score >= h]
             matches.sort(key=lambda m: (-m.score, m.relation_id))
             return matches[:k]
+
+    def _top_k(self, query: str, k: int, h: float) -> list[RelationMatch]:
+        """The ≤ k best matches scoring ``>= h``, ordered by the paper's
+        ``(-score, relation_id)``."""
+        return self._finalize(self._score_all(query), k, h)
 
     def search(self, query: str, k: int = 10, h: float = 0.0) -> SearchResult:
         """Answer a keyword query.
@@ -201,8 +209,10 @@ class SearchMethod(abc.ABC):
             Relatedness threshold: relations scoring below ``h`` are
             filtered out (paper Sec 3: related iff ``match(F, q) >= h``).
         """
+        if k < 0:
+            raise ValueError("k must be >= 0")
         start = time.perf_counter()
-        matches = self._finalize(self._score_all(query), k, h)
+        matches = self._top_k(query, k, h)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         self.metrics.counter(f"{self.name}.queries").inc()
         self.metrics.histogram(f"{self.name}.latency_ms").observe(elapsed_ms)
@@ -215,28 +225,26 @@ class SearchMethod(abc.ABC):
         :meth:`_score_all`, subclasses override with batched kernels."""
         return [self._score_all(query) for query in queries]
 
-    def _score_batch_parallel(
-        self, queries: Sequence[str], workers: int
+    def _top_k_batch(
+        self, queries: Sequence[str], k: int, h: float, workers: int = 1
     ) -> list[list[RelationMatch]]:
-        """Backend-parallel scoring; the default chunks over *queries*.
+        """:meth:`_top_k` for a whole batch, one ranked list per query.
 
-        The kernels are NumPy-bound and release the GIL inside BLAS, so
-        the default thread backend gives real parallelism without
-        pickling indexes across processes.  ExhaustiveSearch overrides
-        this to chunk over *relations* instead (its unit of work is the
-        relation scan).
+        ``workers > 1`` chunks the *queries* over the backend: the
+        kernels are NumPy-bound and release the GIL inside BLAS, so the
+        default thread backend gives real parallelism without pickling
+        indexes across processes.  (ExhaustiveSearch chunks over
+        *relations* instead — its unit of work is the relation scan.)
         """
         chunks = even_chunks(len(queries), workers)
         if len(chunks) < 2:
-            return self._score_batch(queries)
-        parts = self._backend().map(
-            lambda c: self._score_batch([queries[i] for i in c]), chunks, cap=workers
-        )
-        out: list[list[RelationMatch]] = [[] for _ in range(len(queries))]
-        for chunk, part in zip(chunks, parts):
-            for i, matches in zip(chunk, part):
-                out[i] = matches
-        return out
+            scored = self._score_batch(queries)
+        else:
+            parts = self._backend().map(
+                lambda c: self._score_batch([queries[i] for i in c]), chunks, cap=workers
+            )
+            scored = [matches for part in parts for matches in part]
+        return [self._finalize(matches, k, h) for matches in scored]
 
     # -- resident shard scans ----------------------------------------------
 
@@ -247,9 +255,9 @@ class SearchMethod(abc.ABC):
         in-process per-shard scans)."""
         return None
 
-    def matches_from_scores(self, scores: "np.ndarray") -> list[list[RelationMatch]]:
-        """Turn a worker's raw ``(relations, queries)`` score matrix
-        back into per-query matches; pairs with :meth:`scan_spec`."""
+    def rank_scores(self, scores: "np.ndarray", k: int, h: float) -> list[list[RelationMatch]]:
+        """Rank a worker's raw ``(relations, queries)`` score matrix
+        into per-query top-k matches; pairs with :meth:`scan_spec`."""
         raise ExecutionError(f"{type(self).__name__} has no resident scan path")
 
     def search_batch(
@@ -270,6 +278,8 @@ class SearchMethod(abc.ABC):
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if k < 0:
+            raise ValueError("k must be >= 0")
         queries = list(queries)
         # Count the batch before the empty-list early return so the
         # method-level counter agrees with the engine-level one, which
@@ -279,11 +289,7 @@ class SearchMethod(abc.ABC):
         if not queries:
             return BatchResult([], elapsed_ms=0.0)
         start = time.perf_counter()
-        if workers > 1:
-            scored = self._score_batch_parallel(queries, workers)
-        else:
-            scored = self._score_batch(queries)
-        per_query = [self._finalize(matches, k, h) for matches in scored]
+        per_query = self._top_k_batch(queries, k, h, workers)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         amortized_ms = elapsed_ms / len(queries)
         self.metrics.histogram(f"{self.name}.batch_ms").observe(elapsed_ms)

@@ -27,7 +27,6 @@ from contextlib import AbstractContextManager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.cache import CacheSignature, SemanticResultCache, resolve_query_cache
 from repro.core.anns import ANNSearch
 from repro.core.base import SearchMethod
 from repro.core.cts import ClusteredTargetedSearch
@@ -64,7 +63,11 @@ from repro.storage import (
     open_snapshot,
 )
 
-if TYPE_CHECKING:  # circular at runtime: repro.serving wraps this engine
+if TYPE_CHECKING:
+    # Circular at runtime, so imported where used: repro.serving wraps
+    # this engine, and repro.cache builds on repro.core.results — whose
+    # import runs repro/core/__init__.py, hence this module, first.
+    from repro.cache import CacheSignature, SemanticResultCache
     from repro.serving import ServingEngine
 
 __all__ = ["DiscoveryEngine"]
@@ -191,6 +194,8 @@ class DiscoveryEngine:
         self._embeddings: FederationEmbeddings | None = None
         self._sharded: ShardedStore | None = None
         self._methods: dict[str, SearchMethod] = {}
+        from repro.cache import resolve_query_cache
+
         #: Semantic query-result cache above the methods; ``None`` when
         #: caching is off (the default — ``REPRO_QUERY_CACHE`` opts in).
         self.query_cache = resolve_query_cache(query_cache, metrics=self.metrics)
@@ -690,6 +695,12 @@ class DiscoveryEngine:
         """
         return np.asarray(self.embeddings.encode_query(query), dtype=np.float32)
 
+    @staticmethod
+    def _signature(method: str, k: int, h: float) -> "CacheSignature":
+        from repro.cache import CacheSignature
+
+        return CacheSignature(method=method, k=k, h=h)
+
     def search(
         self, query: str, method: str = "cts", k: int = 10, h: float = 0.0
     ) -> SearchResult:
@@ -699,7 +710,7 @@ class DiscoveryEngine:
             cache = self.query_cache
             if cache is None:
                 return self.method(method).search(query, k=k, h=h)
-            signature = CacheSignature(method=method, k=k, h=h)
+            signature = self._signature(method, k, h)
             hit = cache.lookup(
                 signature, query, encode=lambda: self._query_vector(query)
             )
@@ -774,7 +785,7 @@ class DiscoveryEngine:
         if cache is None or not queries:
             return self.method(method).search_batch(queries, k=k, h=h, workers=workers)
         started = time.perf_counter()
-        signature = CacheSignature(method=method, k=k, h=h)
+        signature = self._signature(method, k, h)
         results: "list[SearchResult | None]" = [None] * len(queries)
         missing: list[int] = []
         for i, query in enumerate(queries):

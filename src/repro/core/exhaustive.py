@@ -19,6 +19,11 @@ reduction over precomputed block offsets, with the count weights
 pre-folded into a per-row weight vector at build/delta time.  The
 ``max_mean`` ablation takes a segmented-partition path over the same
 fused similarity matrix.
+
+Every scan — fused, per-block reference, per-attribute loop — only
+*fills* a ``(R, Q)`` score matrix; :meth:`ExhaustiveSearch.rank_scores`
+thresholds it with a mask, selects tie-inclusively and builds
+``RelationMatch`` objects for the ≤ k winners per query alone.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.core.base import SearchMethod, even_chunks
 from repro.core.results import RelationMatch
 from repro.core.semimg import RelationEmbedding
 from repro.exec import ShardScanSpec
-from repro.linalg import ArrayBuffer, SharedBuffer, segment_scores
+from repro.linalg import ArrayBuffer, SharedBuffer, segment_scores, top_k_mask
 from repro.sanitize import guard_operands
 
 __all__ = ["ExhaustiveSearch"]
@@ -251,46 +256,85 @@ class ExhaustiveSearch(SearchMethod):
             start += size
         return out
 
-    def _aggregate_block(self, sims: np.ndarray, counts: np.ndarray) -> float:
+    def _aggregate_block(self, sims: np.ndarray, counts: np.ndarray) -> Any:
+        """One relation's score from its ``(n_unique,)`` similarities to
+        a query — or ``(Q,)`` scores from ``(n_unique, Q)``."""
         if self.aggregate == "mean":
             # Multiplicity-weighted mean == mean over all occurrences.
-            return float(np.average(sims, weights=counts))
+            return np.average(sims, weights=counts, axis=0)
         keep = max(1, int(np.ceil(self.top_fraction * sims.shape[0])))
-        top = np.partition(sims, sims.shape[0] - keep)[-keep:]
-        return float(top.mean())
+        top = np.partition(sims, sims.shape[0] - keep, axis=0)
+        return top[sims.shape[0] - keep :].mean(axis=0)
 
     def _encode_query(self, query: str) -> np.ndarray:
         with self.metrics.timer(f"{self.name}.encode"):
             return self.embeddings.encode_query(query).astype(self.dtype, copy=False)
 
-    def _score_all(self, query: str) -> list[RelationMatch]:
-        q = self._encode_query(query)
+    def _match(self, relation_id: str, score: float) -> RelationMatch:
+        """The one place an ExS score becomes a result object."""
+        return RelationMatch(
+            relation_id=relation_id,
+            score=score,
+            details={"n_values": self._block_cells[relation_id]},
+        )
+
+    def rank_scores(self, scores: np.ndarray, k: int, h: float) -> list[list[RelationMatch]]:
+        """Algorithm 1's "sort, threshold, top-k" over a ``(R, Q)`` score
+        matrix covering every stacked block, one ranked list per query.
+
+        Thresholding is a mask (``NaN >= h`` is false, so NaN scores
+        drop out), selection is tie-inclusive, and only the surviving
+        candidates — k per query unless a tie straddles the k-th place —
+        are sorted by the paper's ``(-score, relation_id)`` and turned
+        into :class:`RelationMatch` objects.
+        """
+        with self.metrics.timer(f"{self.name}.rank"):
+            by_query = scores.T
+            keep = top_k_mask(by_query, k) & (by_query >= h)
+            ranked: list[list[RelationMatch]] = []
+            for column, mask in zip(by_query, keep):
+                rows = np.flatnonzero(mask)
+                winners = sorted(
+                    zip(column[rows].tolist(), (self._block_ids[r] for r in rows.tolist())),
+                    key=lambda pair: (-pair[0], pair[1]),
+                )
+                ranked.append([self._match(rid, score) for score, rid in winners[:k]])
+            return ranked
+
+    def matches_from_scores(self, scores: np.ndarray) -> list[list[RelationMatch]]:
+        """Every row of a ``(R, Q)`` score matrix as a match, unranked.
+
+        The serving path never builds this list (it ranks the matrix
+        and emits winners only); the perf ledger's per-layer replay
+        times it as the cost of emitting everything.
+        """
+        return [
+            [self._match(rid, score) for rid, score in zip(self._block_ids, column)]
+            for column in scores.T.tolist()
+        ]
+
+    # -- three ways of filling the score matrix ------------------------------
+
+    def _scan_attributes(self, q: np.ndarray) -> np.ndarray:
+        """Algorithm 1 verbatim — "foreach Attribute v in r: compute the
+        similarity score s between q' and w" — as one ``(R, 1)`` column.
+        Unlike a GEMM's, these scores do not depend on where a
+        relation's rows sit in the stacked matrix (see DESIGN.md)."""
         assert self._matrix is not None and self._counts is not None
-        if self.vectorized:
-            # Single query through the fused kernel (a (n, 1) GEMM).
-            return self._scan_fused(np.ascontiguousarray(q[np.newaxis, :]))[0]
-        matches = []
+        blocks = self._blocks()
+        # repro-lint: disable=RL003 -- deliberate float64 accumulator: the loop's scores stay float64 until ranked
+        scores = np.empty((len(blocks), 1), dtype=np.float64)
         with self.metrics.timer(f"{self.name}.scan"):
-            for rid, start, stop in self._blocks():
+            for r, (_, start, stop) in enumerate(blocks):
                 block = self._matrix[start:stop]
-                # Algorithm 1: "foreach Attribute v in r: compute the
-                # similarity score s between q' and w".
                 sims = np.fromiter(
                     (float(np.dot(block[i], q)) for i in range(block.shape[0])),
                     # repro-lint: disable=RL003 -- per-attribute loop accumulates in float64 by design
                     dtype=np.float64,
                     count=block.shape[0],
                 )
-                matches.append(
-                    RelationMatch(
-                        relation_id=rid,
-                        score=self._aggregate_block(sims, self._counts[start:stop]),
-                        details={"n_values": self._block_cells[rid]},
-                    )
-                )
-        return matches
-
-    # -- batched scan ------------------------------------------------------
+                scores[r, 0] = self._aggregate_block(sims, self._counts[start:stop])
+        return scores
 
     def _encode_block(self, queries: Sequence[str]) -> np.ndarray:
         """The ``(Q, d)`` matrix of encoded query vectors."""
@@ -321,29 +365,11 @@ class ExhaustiveSearch(SearchMethod):
             top_fraction=self.top_fraction,
         )
 
-    def _emit_matches(
-        self, block_ids: Sequence[str], scores: np.ndarray
-    ) -> list[list[RelationMatch]]:
-        """Turn a ``(R, Q)`` score matrix into per-query match lists."""
-        n_queries = scores.shape[1]
-        cells = [self._block_cells[rid] for rid in block_ids]
-        return [
-            [
-                RelationMatch(
-                    relation_id=rid,
-                    score=float(scores[r, b]),
-                    details={"n_values": cells[r]},
-                )
-                for r, rid in enumerate(block_ids)
-            ]
-            for b in range(n_queries)
-        ]
-
     def _scan_fused(
         self,
         query_block: np.ndarray,
         block_range: range | None = None,
-    ) -> list[list[RelationMatch]]:
+    ) -> np.ndarray:
         """Fused scan: one GEMM over (a row range of) the stacked matrix.
 
         ``block_range`` restricts the scan to a contiguous range of
@@ -354,8 +380,6 @@ class ExhaustiveSearch(SearchMethod):
         assert self._matrix is not None
         if block_range is None:
             block_range = range(len(self._block_ids))
-        if len(block_range) == 0:
-            return [[] for _ in range(query_block.shape[0])]
         row_start = int(self._offsets[block_range.start])
         row_stop = (
             int(self._offsets[block_range.stop])
@@ -376,50 +400,54 @@ class ExhaustiveSearch(SearchMethod):
             self.metrics.counter(f"{self.name}.fused_rows").inc(
                 rows.shape[0] * query_block.shape[0]
             )
-            scores = self._segment_scores(
+            return self._segment_scores(
                 sims, offsets, self._row_weights[row_start:row_stop]
             )
-        block_ids = self._block_ids[block_range.start : block_range.stop]
-        return self._emit_matches(block_ids, scores)
 
-    def _scan_blocks(
-        self, query_block: np.ndarray, blocks: Sequence[tuple[str, int, int]]
-    ) -> list[list[RelationMatch]]:
-        """Legacy scan: score ``blocks`` one per-relation GEMM at a time.
-
-        Kept as the reference path (``fused=False``): rank-identity
-        tests pin the fused kernel against it and the benchmark
-        measures what the fusion buys.
-        """
+    def _scan_blocks(self, query_block: np.ndarray, block_range: range) -> np.ndarray:
+        """Reference scan (``fused=False``): one per-relation GEMM at a
+        time.  Rank-identity tests pin the fused kernel against it and
+        the benchmark measures what the fusion buys."""
         assert self._matrix is not None and self._counts is not None
         block_t = np.ascontiguousarray(query_block.T)
-        n_queries = query_block.shape[0]
-        per_query: list[list[RelationMatch]] = [[] for _ in range(n_queries)]
+        blocks = self._blocks()
+        rows: list[np.ndarray] = []
         with self.metrics.timer(f"{self.name}.scan"):
-            for rid, start, stop in blocks:
+            for _, start, stop in blocks[block_range.start : block_range.stop]:
                 sims = self._matrix[start:stop] @ block_t  # (n_unique, Q)
-                if self.aggregate == "mean":
-                    scores = np.average(sims, weights=self._counts[start:stop], axis=0)
-                else:
-                    keep = max(1, int(np.ceil(self.top_fraction * sims.shape[0])))
-                    top = np.partition(sims, sims.shape[0] - keep, axis=0)
-                    scores = top[sims.shape[0] - keep :].mean(axis=0)
-                n_values = self._block_cells[rid]
-                for b in range(n_queries):
-                    per_query[b].append(
-                        RelationMatch(
-                            relation_id=rid,
-                            score=float(scores[b]),
-                            details={"n_values": n_values},
-                        )
-                    )
-        return per_query
+                rows.append(self._aggregate_block(sims, self._counts[start:stop]))
+        return np.stack(rows)
 
-    def _score_batch(self, queries: Sequence[str]) -> list[list[RelationMatch]]:
-        block = self._encode_block(queries)
-        if self.fused:
-            return self._scan_fused(block)
-        return self._scan_blocks(block, self._blocks())
+    def _score_matrix(self, query_block: np.ndarray, workers: int = 1) -> np.ndarray:
+        """The ``(R, Q)`` score matrix of an encoded query block.
+
+        ExS work scales with federation size, not query count, so
+        ``workers > 1`` chunks the *relations* across the pool: each
+        lane fills the rows of its contiguous block range and the
+        chunks stack back in relation order.
+        """
+        scan = self._scan_fused if self.fused else self._scan_blocks
+        chunks = even_chunks(len(self._block_ids), workers)
+        if len(chunks) < 2:
+            return scan(query_block, range(len(self._block_ids)))
+        parts = self._backend().map(lambda c: scan(query_block, c), chunks, cap=workers)
+        return np.vstack(parts)
+
+    # -- the rank contract ---------------------------------------------------
+
+    def _top_k(self, query: str, k: int, h: float) -> list[RelationMatch]:
+        q = self._encode_query(query)
+        if self.vectorized:
+            # Single query through the fused kernel (a (n, 1) GEMM).
+            scores = self._scan_fused(np.ascontiguousarray(q[np.newaxis, :]))
+        else:
+            scores = self._scan_attributes(q)
+        return self.rank_scores(scores, k, h)[0]
+
+    def _top_k_batch(
+        self, queries: Sequence[str], k: int, h: float, workers: int = 1
+    ) -> list[list[RelationMatch]]:
+        return self.rank_scores(self._score_matrix(self._encode_block(queries), workers), k, h)
 
     # -- resident shard scans ----------------------------------------------
 
@@ -443,45 +471,9 @@ class ExhaustiveSearch(SearchMethod):
             top_fraction=self.top_fraction,
         )
 
-    def matches_from_scores(self, scores: np.ndarray) -> list[list[RelationMatch]]:
-        return self._emit_matches(self._block_ids, scores)
-
     def close(self) -> None:
         super().close()
         buffer, self._buffer = self._buffer, None
         self._matrix = None
         if buffer is not None:
             buffer.close()
-
-    def _score_batch_parallel(
-        self, queries: Sequence[str], workers: int
-    ) -> list[list[RelationMatch]]:
-        """Chunk the *relations* (not the queries) across the pool.
-
-        ExS work scales with federation size, not query count, so the
-        scan parallelizes along relations.  With the fused kernel each
-        worker runs one GEMM + segment reduction over its contiguous
-        *row range*; per-query score lists are stitched back together
-        in relation order.
-        """
-        n_blocks = len(self._block_ids)
-        chunks = even_chunks(n_blocks, workers)
-        block = self._encode_block(queries)
-        if len(chunks) < 2:
-            return self._score_batch(queries)
-        if self.fused:
-            parts = self._backend().map(
-                lambda c: self._scan_fused(block, c), chunks, cap=workers
-            )
-        else:
-            blocks = self._blocks()
-            parts = self._backend().map(
-                lambda c: self._scan_blocks(block, [blocks[i] for i in c]),
-                chunks,
-                cap=workers,
-            )
-        merged: list[list[RelationMatch]] = [[] for _ in queries]
-        for part in parts:
-            for b, matches in enumerate(part):
-                merged[b].extend(matches)
-        return merged

@@ -21,10 +21,12 @@ method into a scatter-gather plan over per-shard indexes:
   gathers with an exact merge.
 
 Exactness of the merge: ExS and CTS score a relation from that
-relation's vectors alone, so the union of per-shard score lists feeds
-the very same candidates into the shared threshold/sort/top-k
-finalizer and the sharded ranking equals the unsharded one
-bit-for-bit.  ANNS has one cross-relation coupling — the global
+relation's vectors alone and ``(-score, relation_id)`` is a total
+order, so the global top-k is a subset of the union of the shards' own
+top-k.  Every shard therefore cuts its answer to k, the gather feeds
+those at most ``k * shards`` candidates per query into the shared
+threshold/sort/top-k finalizer, and the sharded ranking equals the
+unsharded one.  ANNS has one cross-relation coupling — the global
 candidate budget — so its gather works at the *candidate* level: every
 shard retrieves the global budget of nearest value points, duplicates
 (the vector for a value text is canonical, so cross-shard copies score
@@ -241,8 +243,9 @@ class ShardedSearch(SearchMethod):
     ``<method>.shard<i>`` so its stage timers — ``exs.shard3.scan`` —
     and gauges are distinguishable in the shared registry), presents
     the ordinary :class:`SearchMethod` surface, and serves queries by
-    scattering across the shard indexes and gathering with an exact
-    merge before the shared threshold/sort/top-k finalizer.
+    scattering across the shard indexes, letting each shard rank its
+    own top-k, and gathering those with an exact merge through the
+    shared threshold/sort/top-k finalizer.
 
     ``search_batch(..., workers=N)`` scatters the whole query block
     with one thread-pool task per shard — the sharded counterpart of
@@ -381,43 +384,40 @@ class ShardedSearch(SearchMethod):
 
     # -- scatter-gather ----------------------------------------------------
 
-    def _gather(self, parts: list[list[RelationMatch]]) -> list[RelationMatch]:
-        """Exact merge: per-relation scores are shard-local, so the
-        union of per-shard score lists is the unsharded score list."""
-        with self.metrics.timer(f"{self.name}.merge"):
-            merged: list[RelationMatch] = []
-            for part in parts:
-                merged.extend(part)
-            return merged
-
-    def _gather_batch(
-        self, n_queries: int, parts: list[list[list[RelationMatch]]]
+    def _gather(
+        self, parts: list[list[list[RelationMatch]]], k: int, h: float
     ) -> list[list[RelationMatch]]:
+        """Exact merge of per-shard top-k lists (``parts[shard][query]``).
+
+        Per-relation scores are shard-local and ``(-score,
+        relation_id)`` is a total order, so the global top-k is a
+        subset of the union of the shards' own top-k: the gather ranks
+        at most ``k * shards`` candidates per query.
+        """
         with self.metrics.timer(f"{self.name}.merge"):
-            merged: list[list[RelationMatch]] = [[] for _ in range(n_queries)]
-            for part in parts:
-                for query_index, matches in enumerate(part):
-                    merged[query_index].extend(matches)
-            return merged
+            return [
+                self._finalize([m for part in per_query for m in part], k, h)
+                for per_query in zip(*parts)
+            ]
 
-    def _score_all(self, query: str) -> list[RelationMatch]:
-        return self._gather([method._score_all(query) for method in self._live()])
+    def _top_k(self, query: str, k: int, h: float) -> list[RelationMatch]:
+        parts = [[method._top_k(query, k, h)] for method in self._live()]
+        return self._gather(parts, k, h)[0]
 
-    def _score_batch(self, queries: Sequence[str]) -> list[list[RelationMatch]]:
-        parts = [method._score_batch(queries) for method in self._live()]
-        return self._gather_batch(len(queries), parts)
-
-    def _scan_resident(self, queries: Sequence[str]) -> list[list[RelationMatch]] | None:
+    def _scan_resident(
+        self, queries: Sequence[str], k: int, h: float
+    ) -> list[list[list[RelationMatch]]] | None:
         """Scatter the encoded query block to worker-resident shards.
 
         The fast path on a process backend: every live shard's scan
         state already lives in a worker process (published at build /
         delta time), so the batch crosses the pipe as one encoded
         block per shard and only score matrices come back — no index
-        pickling, no GIL.  Returns ``None`` when the backend hosts no
-        resident state or any live shard lacks a published spec (e.g.
-        a ``fused=False`` prototype); callers then fall back to
-        in-process per-shard scans.
+        pickling, no GIL — each cut to its shard's top-k on arrival.
+        Returns ``None`` when the backend hosts no resident state or
+        any live shard lacks a published spec (e.g. a ``fused=False``
+        prototype); callers then fall back to in-process per-shard
+        scans.
         """
         backend = self._scan_backend()
         if backend is None:
@@ -442,25 +442,29 @@ class ShardedSearch(SearchMethod):
         for shard, shard_scores in zip(live_shards, scores):
             method = self._shard_methods[shard]
             assert method is not None
-            parts.append(method.matches_from_scores(shard_scores))
-        return self._gather_batch(len(queries), parts)
+            parts.append(method.rank_scores(shard_scores, k, h))
+        return parts
 
-    def _score_batch_parallel(
-        self, queries: Sequence[str], workers: int
+    def _top_k_batch(
+        self, queries: Sequence[str], k: int, h: float, workers: int = 1
     ) -> list[list[RelationMatch]]:
-        """One backend task per shard; on a thread backend the
-        per-shard kernels release the GIL inside BLAS, on a process
-        backend the scan runs in the workers holding resident state."""
+        """Every shard cuts the batch to its own top-k, then one merge.
+
+        ``workers > 1`` runs one backend task per shard: on a thread
+        backend the per-shard kernels release the GIL inside BLAS, on a
+        process backend the scan runs in the workers holding resident
+        state.
+        """
         live = self._live()
-        if len(live) < 2 or workers < 2:
-            return self._score_batch(queries)
-        resident = self._scan_resident(queries)
-        if resident is not None:
-            return resident
-        parts = self._backend().map(
-            lambda method: method._score_batch(queries), live, cap=workers
-        )
-        return self._gather_batch(len(queries), parts)
+        if len(live) > 1 and workers > 1:
+            parts = self._scan_resident(queries, k, h)
+            if parts is None:
+                parts = self._backend().map(
+                    lambda method: method._top_k_batch(queries, k, h), live, cap=workers
+                )
+        else:
+            parts = [method._top_k_batch(queries, k, h) for method in live]
+        return self._gather(parts, k, h)
 
 
 class ShardedANNSearch(ShardedSearch):
@@ -521,43 +525,34 @@ class ShardedANNSearch(ShardedSearch):
         return ranked[:budget]
 
     def _gather_hits(
-        self,
-        n_queries: int,
-        per_shard: list[list[list[ScoredPoint]]],
-        budget: int,
+        self, per_shard: list[list[list[ScoredPoint]]], budget: int, k: int, h: float
     ) -> list[list[RelationMatch]]:
+        """Merge ``per_shard[shard][query]`` hit lists, then rank once,
+        globally: relation scores only exist over the merged candidates."""
         with self.metrics.timer(f"{self.name}.merge"):
-            merged = [
-                self._merge_hits([shard_lists[i] for shard_lists in per_shard], budget)
-                for i in range(n_queries)
-            ]
-        return [self._anns_prototype._group_hits(hits) for hits in merged]
+            merged = [self._merge_hits(list(hit_lists), budget) for hit_lists in zip(*per_shard)]
+        return [self._finalize(self._anns_prototype._group_hits(hits), k, h) for hits in merged]
 
-    def _score_all(self, query: str) -> list[RelationMatch]:
+    def _top_k(self, query: str, k: int, h: float) -> list[RelationMatch]:
         with self.metrics.timer(f"{self.name}.encode"):
             q = self.embeddings.encode_query(query)
         budget = self._budget()
         per_shard = [[shard.retrieve(q, budget)] for shard in self._shard_anns()]
-        return self._gather_hits(1, per_shard, budget)[0]
+        return self._gather_hits(per_shard, budget, k, h)[0]
 
-    def _score_batch(self, queries: Sequence[str]) -> list[list[RelationMatch]]:
-        block = self._encode_block(queries)
-        budget = self._budget()
-        per_shard = [shard.retrieve_batch(block, budget) for shard in self._shard_anns()]
-        return self._gather_hits(len(queries), per_shard, budget)
-
-    def _score_batch_parallel(
-        self, queries: Sequence[str], workers: int
+    def _top_k_batch(
+        self, queries: Sequence[str], k: int, h: float, workers: int = 1
     ) -> list[list[RelationMatch]]:
         shards = self._shard_anns()
-        if len(shards) < 2 or workers < 2:
-            return self._score_batch(queries)
         block = self._encode_block(queries)
         budget = self._budget()
-        per_shard = self._backend().map(
-            lambda shard: shard.retrieve_batch(block, budget), shards, cap=workers
-        )
-        return self._gather_hits(len(queries), per_shard, budget)
+        if len(shards) > 1 and workers > 1:
+            per_shard = self._backend().map(
+                lambda shard: shard.retrieve_batch(block, budget), shards, cap=workers
+            )
+        else:
+            per_shard = [shard.retrieve_batch(block, budget) for shard in shards]
+        return self._gather_hits(per_shard, budget, k, h)
 
     def _encode_block(self, queries: Sequence[str]) -> np.ndarray:
         with self.metrics.timer(f"{self.name}.encode"):

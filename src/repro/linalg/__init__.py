@@ -22,7 +22,7 @@ from repro.linalg.sharedbuf import (
     live_segment_names,
     shared_memory_available,
 )
-from repro.linalg.topk import top_k_indices, top_k_indices_rowwise
+from repro.linalg.topk import top_k_indices, top_k_indices_rowwise, top_k_mask
 
 __all__ = [
     "ArrayBuffer",
@@ -44,4 +44,5 @@ __all__ = [
     "similarity",
     "top_k_indices",
     "top_k_indices_rowwise",
+    "top_k_mask",
 ]

@@ -1,45 +1,67 @@
-"""Top-k selection helpers."""
+"""Top-k selection helpers, exact under ties (see :func:`top_k_mask`)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["top_k_indices", "top_k_indices_rowwise"]
+__all__ = ["top_k_indices", "top_k_indices_rowwise", "top_k_mask"]
+
+
+def top_k_mask(scores: np.ndarray, k: int, largest: bool = True) -> np.ndarray:
+    """Tie-inclusive top-k selection along the last axis.
+
+    A boolean mask of ``scores``' shape marking, per row, every entry
+    at least as good as the k-th best: exactly ``min(k, n)`` entries,
+    more only when a tie straddles the k-th place — where a bare
+    ``argpartition`` would keep an arbitrary member.  Callers order
+    those few candidates by their own total order and cut at ``k``.
+    NaN ranks last, as in ``np.sort``.
+    """
+    # repro-lint: disable=RL003 -- dtype-preserving selection; comparisons work in the caller's dtype
+    scores = np.asarray(scores)
+    n = scores.shape[-1]
+    if k <= 0 or n == 0:
+        return np.zeros(scores.shape, dtype=bool)
+    if k >= n:
+        return np.ones(scores.shape, dtype=bool)
+    keys = -scores if largest else scores
+    kth = np.partition(keys, k - 1, axis=-1)[..., k - 1 : k]
+    # A NaN k-th key means the row has fewer than k comparable entries:
+    # all of them are candidates, and so are the NaNs filling the rest.
+    return (keys <= kth) | np.isnan(kth)
+
+
+def _best_first(keys: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest ``keys`` among ``mask``'s candidates, ties by index."""
+    candidate = np.flatnonzero(mask)
+    # Candidates are in index order, so a stable sort breaks ties by index.
+    return candidate[np.argsort(keys[candidate], kind="stable")[:k]]
 
 
 def top_k_indices(scores: np.ndarray, k: int, largest: bool = True) -> np.ndarray:
     """Indices of the k best entries of a 1-D score array, best first.
 
-    Uses ``argpartition`` for O(n + k log k) selection instead of a full
-    sort.  ``k`` larger than the array is clamped.  Ties are broken by
-    index order (stable), which keeps rankings deterministic.
+    O(n + c log c) over the ``c >= k`` tie-inclusive candidates instead
+    of a full sort.  ``k`` larger than the array is clamped.  Ties are
+    broken by index order (stable), which keeps rankings deterministic:
+    the result equals ``sorted(range(n), key=lambda i: (-scores[i], i))[:k]``.
     """
     # repro-lint: disable=RL003 -- dtype-preserving selection; comparisons work in the caller's dtype
     scores = np.asarray(scores)
     if scores.ndim != 1:
         raise ValueError(f"expected 1-D scores, got ndim={scores.ndim}")
-    n = scores.shape[0]
-    if k <= 0 or n == 0:
-        return np.empty(0, dtype=np.intp)
-    k = min(k, n)
     keys = -scores if largest else scores
-    if k == n:
-        candidate = np.arange(n)
-    else:
-        candidate = np.argpartition(keys, k - 1)[:k]
-    # Stable sort of the candidates: primary key score, secondary index.
-    order = np.lexsort((candidate, keys[candidate]))
-    return candidate[order]
+    return _best_first(keys, top_k_mask(keys, k, largest=False), k)
 
 
 def top_k_indices_rowwise(scores: np.ndarray, k: int, largest: bool = True) -> np.ndarray:
     """Per-row top-k of a 2-D ``(Q, n)`` score matrix, best first.
 
-    One ``argpartition`` along ``axis=1`` selects every row's candidate
-    set at once, so a batched scan ranks all its queries without a
-    Python-level loop.  Returns a ``(Q, min(k, n))`` index matrix whose
-    row ``i`` equals ``top_k_indices(scores[i], k, largest)`` — same
-    selection, same stable index-order tie-breaking.
+    One ``partition`` along ``axis=1`` selects every row's candidate
+    set at once; only the ordering of each row's few candidates walks
+    the rows.  Returns a ``(Q, min(k, n))`` index matrix whose row ``i``
+    equals ``top_k_indices(scores[i], k, largest)`` — same selection,
+    same stable index-order tie-breaking.
     """
     # repro-lint: disable=RL003 -- dtype-preserving selection; comparisons work in the caller's dtype
     scores = np.asarray(scores)
@@ -48,14 +70,9 @@ def top_k_indices_rowwise(scores: np.ndarray, k: int, largest: bool = True) -> n
     n_queries, n = scores.shape
     if k <= 0 or n == 0 or n_queries == 0:
         return np.empty((n_queries, 0), dtype=np.intp)
-    k = min(k, n)
     keys = -scores if largest else scores
-    if k == n:
-        candidate = np.broadcast_to(np.arange(n), (n_queries, n))
-    else:
-        candidate = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    row_keys = np.take_along_axis(keys, candidate, axis=1)
-    # lexsort sorts along the last axis independently per row: primary
-    # key score, secondary original index (stable ties).
-    order = np.lexsort((candidate, row_keys))
-    return np.take_along_axis(candidate, order, axis=1).astype(np.intp, copy=False)
+    mask = top_k_mask(keys, k, largest=False)
+    best = np.empty((n_queries, min(k, n)), dtype=np.intp)
+    for row in range(n_queries):
+        best[row] = _best_first(keys[row], mask[row], k)
+    return best

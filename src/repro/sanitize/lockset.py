@@ -194,8 +194,10 @@ def tracked_lock() -> "TrackedLock | threading.Lock":
 
 
 def _purge(key: tuple[int, str]) -> None:
-    with _states_lock:
-        _states.pop(key, None)
+    # Deliberately lock-free (one atomic dict.pop): a GC pass inside
+    # _access's critical section runs this finalizer on the thread that
+    # already holds the non-reentrant _states_lock.
+    _states.pop(key, None)
 
 
 def _describe_holds(held_excl: set[int], held_shared: set[int]) -> str:

@@ -137,6 +137,20 @@ def test_workers_must_be_positive(indexed_engine):
         indexed_engine.search_batch(QUERIES, method="exs", workers=0)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_negative_k_is_rejected(indexed_engine, method):
+    """``matches[:k]`` slice semantics used to leak through the ranker:
+    ``k=-1`` answered with every match but the last."""
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            indexed_engine.search(QUERIES[0], method=method, k=k)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            indexed_engine.search_batch(QUERIES, method=method, k=k)
+    assert indexed_engine.search(QUERIES[0], method=method, k=0).matches == []
+    empty = indexed_engine.search_batch(QUERIES, method=method, k=0)
+    assert [result.matches for result in empty] == [[]] * len(QUERIES)
+
+
 def test_batch_result_reports_throughput(indexed_engine):
     result = indexed_engine.search_batch(QUERIES, method="exs")
     assert result.elapsed_ms > 0.0

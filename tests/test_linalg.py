@@ -17,6 +17,8 @@ from repro.linalg import (
     pairwise_similarity,
     similarity,
     top_k_indices,
+    top_k_indices_rowwise,
+    top_k_mask,
 )
 
 finite_rows = arrays(
@@ -24,6 +26,20 @@ finite_rows = arrays(
     st.tuples(st.integers(2, 6), st.just(4)),
     elements=st.floats(-10, 10, allow_nan=False),
 )
+
+#: Four distinct values over up to 40 slots: nearly every k-th place is
+#: inside a tie, which is where a bare ``argpartition`` picks arbitrarily.
+tie_heavy_rows = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 5), st.integers(2, 40)),
+    elements=st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+)
+
+
+def sorted_reference(scores, k, largest):
+    """The documented contract, by a full sort: ``(-score, index)``."""
+    sign = -1.0 if largest else 1.0
+    return sorted(range(len(scores)), key=lambda i: (sign * scores[i], i))[:k]
 
 
 class TestNormalizeRows:
@@ -132,6 +148,39 @@ class TestTopK:
         got = top_k_indices(scores, k)
         expected_scores = np.sort(scores)[::-1][: min(k, len(scores))]
         np.testing.assert_allclose(scores[got], expected_scores)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_rows, st.sampled_from(["one", "n-1", "n", "n+3"]), st.booleans())
+    def test_boundary_ties_match_sorted_reference(self, scores, which, largest):
+        """A tie straddling the k-th place resolves by index, 1-D and
+        row-wise alike — the selection must be tie-inclusive."""
+        n = scores.shape[1]
+        k = {"one": 1, "n-1": n - 1, "n": n, "n+3": n + 3}[which]
+        rowwise = top_k_indices_rowwise(scores, k, largest=largest)
+        assert rowwise.shape == (scores.shape[0], min(k, n))
+        for row, got in zip(scores, rowwise):
+            want = sorted_reference(row, k, largest)
+            assert got.tolist() == want
+            assert top_k_indices(row, k, largest=largest).tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_rows, st.integers(0, 45), st.booleans())
+    def test_mask_is_tie_inclusive(self, scores, k, largest):
+        """The mask keeps exactly the entries at least as good as the
+        k-th best: the top-k by any tie-break order lies inside it."""
+        mask = top_k_mask(scores, k, largest=largest)
+        for row, kept in zip(scores, mask):
+            want = sorted_reference(row, k, largest)
+            assert set(want) <= set(np.flatnonzero(kept).tolist())
+            worst = row[want[-1]] if want else None
+            for i in np.flatnonzero(kept):
+                assert row[i] >= worst if largest else row[i] <= worst
+
+    def test_nan_ranks_last(self):
+        scores = np.array([1.0, np.nan, 3.0, np.nan, 2.0])
+        np.testing.assert_array_equal(top_k_indices(scores, 2), [2, 4])
+        np.testing.assert_array_equal(top_k_indices(scores, 4), [2, 4, 0, 1])
+        np.testing.assert_array_equal(top_k_indices(scores, 4, largest=False), [0, 4, 2, 1])
 
 
 class TestKMeans:

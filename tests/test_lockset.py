@@ -86,6 +86,29 @@ class TestEraserPolicy:
         lockset.read(owner, "field")
 
 
+class TestTrackerState:
+    def test_purge_finalizer_may_fire_inside_the_tracker(self, armed):
+        """A dead owner's purge finalizer runs wherever the garbage
+        collector happens to fire — including inside ``_access`` on the
+        thread already holding ``_states_lock`` (owners caught in a
+        traceback cycle are freed by the GC, not by refcount).  Taking
+        the lock there hung the whole suite about one run in 25."""
+        owner = Owner()
+        lockset.write(owner, "field")
+        key = (id(owner), "field")
+        assert key in lockset._states
+
+        def collect_while_locked():
+            with lockset._states_lock:
+                lockset._purge(key)
+
+        t = threading.Thread(target=collect_while_locked, daemon=True)
+        t.start()
+        t.join(timeout=5.0)
+        assert not t.is_alive(), "purge finalizer deadlocked on _states_lock"
+        assert key not in lockset._states
+
+
 class TestWeakerPolicies:
     def test_publish_allows_lockfree_reads(self, armed):
         owner = Owner()

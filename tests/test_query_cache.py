@@ -12,10 +12,15 @@ fix.  The delta/no-stale-reads property suite lives in
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cache import (
     CACHE_ENV,
     CacheSignature,
@@ -448,3 +453,20 @@ class TestDeadOnArrivalAdmission:
                 assert result.relation_ids()
 
         run(serve())
+
+
+@pytest.mark.parametrize("first", ["repro.cache", "repro.serving", "repro.core"])
+def test_packages_import_in_any_order(first):
+    """``repro.cache`` builds on ``repro.core.results``, whose import
+    runs ``repro/core/__init__.py`` and with it the engine — which used
+    to import the half-initialized cache straight back."""
+    src = Path(repro.__file__).resolve().parents[1]
+    others = {"repro.cache", "repro.serving", "repro.core"} - {first}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {first}; import {', '.join(sorted(others))}"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
