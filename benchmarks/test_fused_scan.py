@@ -1,17 +1,14 @@
-"""Micro-benchmark: the fused federation-wide ExS scan kernel.
+"""Micro-benchmark: the ``max_mean`` ExS scan at float32 vs float64.
 
-Not a paper artifact — this measures what fusing the scan buys on the
-workload the per-relation loop is worst at: a federation of *many
-small* relations, where the legacy path pays one Python dispatch and
-one tiny GEMM per relation per batch while the fused kernel runs a
-single GEMM over the whole stacked matrix plus one segment reduction.
-
-Also times float32 vs float64 storage: the fused GEMM is bandwidth
-bound at this shape, so halving the element width should never lose
-throughput.
+Not a paper artifact.  ExS under the paper's mean aggregation scans one
+float64 centroid per relation, so its only dtype-sensitive storage is
+the value matrix the ``max_mean`` ablation stacks: one GEMM over every
+value vector plus a segmented partition.  The GEMM is bandwidth bound
+at this shape (a federation of many small relations), so halving the
+element width should never lose throughput.
 
 Run with ``pytest benchmarks/test_fused_scan.py -q -s`` for the
-measured numbers; the assertions guard the fused >= 2x margin.
+measured numbers.
 """
 
 from __future__ import annotations
@@ -28,8 +25,8 @@ from repro.embedding.semantic import SemanticHashEncoder
 
 from _trajectory import record
 
-#: Many small relations: the shape that maximizes per-block dispatch
-#: overhead relative to arithmetic.
+#: Many small relations: the shape that maximizes per-block overhead
+#: relative to arithmetic.
 N_RELATIONS = 600
 DIM = 64
 K = 20
@@ -64,11 +61,11 @@ def shared_encoder() -> CachingEncoder:
     return CachingEncoder(SemanticHashEncoder(dim=DIM))
 
 
-def make_engine(fused_fed, encoder, fused: bool, dtype) -> DiscoveryEngine:
+def make_engine(fused_fed, encoder, dtype) -> DiscoveryEngine:
     engine = DiscoveryEngine(
         encoder=encoder,
         dtype=dtype,
-        method_params={"exs": {"fused": fused}},
+        method_params={"exs": {"aggregate": "max_mean"}},
     )
     engine.index(fused_fed)
     engine.method("exs")
@@ -87,93 +84,11 @@ def best_of(fn, repeats: int = 3) -> float:
     return min(times)
 
 
-def test_fused_kernel_beats_per_block_kernel(fused_fed, shared_encoder):
-    """The acceptance guard: at >= 500 relations the fused scan kernel
-    (one GEMM + one segment reduction) is at least 2x the per-relation
-    GEMM loop.  Typical margins are 20-60x — the loop pays
-    ~N_RELATIONS Python/BLAS dispatches per batch — so CI timing noise
-    cannot flip the bound.
-
-    Both paths are timed on the arithmetic alone (scores out of
-    similarities); emitting per-relation match objects costs the same
-    either way and is measured separately by the end-to-end test.
-    """
-    engine = make_engine(fused_fed, shared_encoder, fused=True, dtype=np.float32)
-    method = engine.method("exs")
-    block = method._encode_block(QUERIES)
-    block_t = np.ascontiguousarray(block.T)
-    matrix, counts = method._matrix, method._counts
-    blocks = method._blocks()
-
-    def per_block_kernel() -> None:
-        # The arithmetic of ExhaustiveSearch._scan_blocks: one small
-        # GEMM + one weighted mean per relation.
-        for _, start, stop in blocks:
-            sims = matrix[start:stop] @ block_t
-            np.average(sims, weights=counts[start:stop], axis=0)
-
-    def fused_kernel() -> np.ndarray:
-        sims = matrix @ block.T
-        return method._segment_scores(sims, method._offsets, method._row_weights)
-
-    loop_s = best_of(per_block_kernel)
-    fused_s = best_of(fused_kernel)
-    speedup = loop_s / max(fused_s, 1e-9)
-    record(
-        "fused_scan",
-        {
-            "kernel_per_block_ms": loop_s * 1e3,
-            "kernel_fused_ms": fused_s * 1e3,
-            "kernel_speedup": speedup,
-        },
-    )
-    print(
-        f"\nExS scan kernel over {N_RELATIONS} relations x {len(QUERIES)} queries: "
-        f"per-block {loop_s * 1e3:.2f} ms, fused {fused_s * 1e3:.2f} ms, "
-        f"speedup {speedup:.1f}x"
-    )
-    assert speedup >= 2.0, f"fused kernel only {speedup:.2f}x faster than per-block"
-
-
-def test_fused_end_to_end_not_slower(fused_fed, shared_encoder):
-    """End-to-end serving (encode + scan + rank + emit) must still win;
-    the margin is smaller than the kernel's because emitting one match
-    object per (relation, query) dominates at this federation shape."""
-    fused = make_engine(fused_fed, shared_encoder, fused=True, dtype=np.float32)
-    loop = make_engine(fused_fed, shared_encoder, fused=False, dtype=np.float32)
-
-    fused_s = best_of(lambda: fused.search_batch(QUERIES, method="exs", k=K))
-    loop_s = best_of(lambda: loop.search_batch(QUERIES, method="exs", k=K))
-
-    # Same rankings before we compare speed.
-    a = fused.search_batch(QUERIES, method="exs", k=K, h=-1.0)
-    b = loop.search_batch(QUERIES, method="exs", k=K, h=-1.0)
-    for ra, rb in zip(a, b):
-        assert ra.relation_ids() == rb.relation_ids()
-
-    speedup = loop_s / max(fused_s, 1e-9)
-    record(
-        "fused_scan",
-        {
-            "e2e_per_block_ms": loop_s * 1e3,
-            "e2e_fused_ms": fused_s * 1e3,
-            "e2e_speedup": speedup,
-            "e2e_qps": len(QUERIES) / max(fused_s, 1e-9),
-        },
-    )
-    print(
-        f"\nExS end-to-end over {N_RELATIONS} relations x {len(QUERIES)} queries: "
-        f"per-block {loop_s * 1e3:.1f} ms, fused {fused_s * 1e3:.1f} ms, "
-        f"speedup {speedup:.1f}x"
-    )
-    assert speedup >= 1.2, f"fused serving only {speedup:.2f}x of per-block"
-
-
 def test_float32_throughput_and_memory_vs_float64(fused_fed, shared_encoder):
-    """float32 halves the stacked matrix and must not lose throughput
-    beyond noise (the fused GEMM is bandwidth bound at this shape)."""
-    f32 = make_engine(fused_fed, shared_encoder, fused=True, dtype=np.float32)
-    f64 = make_engine(fused_fed, shared_encoder, fused=True, dtype=np.float64)
+    """float32 halves the stacked value matrix and must not lose
+    throughput beyond noise (the GEMM is bandwidth bound at this shape)."""
+    f32 = make_engine(fused_fed, shared_encoder, dtype=np.float32)
+    f64 = make_engine(fused_fed, shared_encoder, dtype=np.float64)
 
     f32_s = best_of(lambda: f32.search_batch(QUERIES, method="exs", k=K))
     f64_s = best_of(lambda: f64.search_batch(QUERIES, method="exs", k=K))
@@ -194,28 +109,10 @@ def test_float32_throughput_and_memory_vs_float64(fused_fed, shared_encoder):
         },
     )
     print(
-        f"\nExS fused dtype sweep: float32 {f32_s * 1e3:.1f} ms "
+        f"\nExS max_mean dtype sweep: float32 {f32_s * 1e3:.1f} ms "
         f"({qps32:.0f} q/s, {f32_bytes / 1e6:.1f} MB), "
         f"float64 {f64_s * 1e3:.1f} ms ({qps64:.0f} q/s, {f64_bytes / 1e6:.1f} MB)"
     )
     # Loose pathology guard, not a tight perf bound: the half-width
     # scan should never run at less than half the float64 speed.
     assert f32_s <= 2.0 * f64_s
-
-
-def test_fused_parallel_workers(fused_fed, shared_encoder):
-    """workers=4 chunks the stacked matrix by row range; rankings must
-    not change and the wall clock is reported for the tuning docs."""
-    engine = make_engine(fused_fed, shared_encoder, fused=True, dtype=np.float32)
-    seq_s = best_of(lambda: engine.search_batch(QUERIES, method="exs", k=K))
-    par_s = best_of(
-        lambda: engine.search_batch(QUERIES, method="exs", k=K, workers=4)
-    )
-    a = engine.search_batch(QUERIES, method="exs", k=K, h=-1.0)
-    b = engine.search_batch(QUERIES, method="exs", k=K, h=-1.0, workers=4)
-    for ra, rb in zip(a, b):
-        assert ra.relation_ids() == rb.relation_ids()
-    print(
-        f"\nExS fused workers: sequential {seq_s * 1e3:.1f} ms, "
-        f"workers=4 {par_s * 1e3:.1f} ms"
-    )

@@ -1,11 +1,14 @@
 """Micro-benchmark: process-backend shard scans vs the thread pool.
 
-Not a paper artifact — this measures PR 7's execution layer.  With
-``DiscoveryEngine(executor="process")`` each shard's stacked ExS matrix
-lives in a shared-memory segment and is scanned inside a resident
-worker process, so the segment reduction and match emission (the
-GIL-bound tail of the fused scan) run truly in parallel; the thread
-backend runs the identical kernels on one interpreter's pool.
+Not a paper artifact — this measures the execution layer.  The engines
+run ExS with ``aggregate="max_mean"``: with
+``DiscoveryEngine(executor="process")`` each shard's stacked value
+matrix lives in a shared-memory segment and is scanned inside a
+resident worker process, so the segment reduction and match emission
+(the GIL-bound tail of the scan) run truly in parallel; the thread
+backend runs the identical kernels on one interpreter's pool.  (Under
+the default ``mean`` a shard is a few centroid rows and one row-wise
+kernel call, too little work to outweigh the pipe round trip.)
 
 Every run records its headline numbers into ``BENCH_process_shards.json``
 (via ``_trajectory.record``), including under ``--benchmark-disable``,
@@ -59,7 +62,10 @@ def proc_engines(proc_corpus):
     for backend in ("thread", "process"):
         for shards in SHARD_COUNTS:
             engine = DiscoveryEngine(
-                encoder=_ENCODER, shards=shards, executor=backend
+                encoder=_ENCODER,
+                shards=shards,
+                executor=backend,
+                method_params={"exs": {"aggregate": "max_mean"}},
             )
             engine.index(federation)
             engine.method("exs")
@@ -126,7 +132,7 @@ def test_thread_vs_process_trajectory(proc_engines, proc_queries, shards):
 def test_process_beats_thread_at_four_shards(proc_engines, proc_queries):
     """The acceptance guard: 4 process shards >= 1.5x the thread pool.
 
-    The thread backend's per-shard GEMMs release the GIL, but the
+    The thread backend's per-shard ``max_mean`` GEMMs release the GIL, but the
     segment reduction, top-k rank and match emission reacquire it, so
     the scatter phase serialises on its Python tail; resident worker
     processes run that tail 4-wide over the shared-memory matrices.

@@ -6,6 +6,12 @@ federation on its own pool thread (``workers=N``), and the gather is an
 exact merge, so throughput should scale with cores while rankings stay
 identical to the monolithic engine.
 
+The engines run ExS with ``aggregate="max_mean"``, whose scan is a GEMM
+over every value vector plus a segmented reduction — work worth
+spreading.  Under the default ``mean`` a whole shard is a handful of
+centroid rows scored in one row-wise kernel call, so there is nothing
+left for extra shards to parallelise.
+
 Run with ``pytest benchmarks/test_sharded_scan.py --benchmark-only``
 for queries/sec per shard count; the plain assertion test guards the
 4-shard speedup (and skips on boxes with fewer than 4 cores, where the
@@ -46,7 +52,11 @@ def shard_engines(shard_corpus):
     federation = shard_corpus.federation()
     engines = {}
     for shards in SHARD_COUNTS:
-        engine = DiscoveryEngine(encoder=_ENCODER, shards=shards)
+        engine = DiscoveryEngine(
+            encoder=_ENCODER,
+            shards=shards,
+            method_params={"exs": {"aggregate": "max_mean"}},
+        )
         engine.index(federation)
         engine.method("exs")
         engines[shards] = engine
@@ -76,9 +86,10 @@ def test_sharded_exs_throughput(benchmark, shard_engines, shard_queries, shards)
 def test_sharded_scan_beats_single_shard(shard_engines, shard_queries):
     """The acceptance guard: 4 shards on 4 workers >= 2x one shard.
 
-    Each shard's block scan is an independent GEMM on its own pool
-    thread (NumPy releases the GIL), so with >= 4 cores the scatter
-    phase runs 4-wide and the exact merge adds microseconds.  On
+    Each shard's ``max_mean`` scan is an independent GEMM over its own
+    value vectors on its own pool thread (NumPy releases the GIL), so
+    with >= 4 cores the scatter phase runs 4-wide and the exact merge
+    adds microseconds.  On
     smaller boxes the pool is oversubscribed and the margin is noise,
     hence the skip.
     """

@@ -15,8 +15,8 @@ Design
 * **Lookup.**  An exact text hit is one dict probe.  On an exact miss,
   the near-duplicate probe scores the query vector against the store's
   cached vectors with ONE GEMM — :func:`repro.linalg.distances.
-  cosine_similarity` in its ``normalized=True`` fast path, the very
-  kernel the fused scans use — and accepts the best neighbour at cosine
+  cosine_similarity` in its ``normalized=True`` fast path, the exact
+  cosine collection scan's kernel — and accepts the best neighbour at cosine
   ``>= tau``.  The probe matrix is republished lazily whenever the store
   changed, so the scan is a vectorized kernel call, never a Python loop.
 * **Invalidation.**  Every entry records the store ``generation`` it was

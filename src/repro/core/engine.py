@@ -98,8 +98,9 @@ class DiscoveryEngine:
         Per-method constructor overrides, e.g.
         ``{"cts": {"top_clusters": 3}, "anns": {"n_candidates": 64}}``.
     dtype:
-        Storage/compute dtype for the scan methods (ExS stacked matrix,
-        ANNS values collection).  The default float32 matches the
+        Storage/compute dtype for the scan methods (ExS query
+        quantisation and ``max_mean`` value matrix, ANNS values
+        collection).  The default float32 matches the
         encoder's native precision, halving resident index memory and
         scan bandwidth; pass ``numpy.float64`` for the historical
         upcast-everything compat mode.  CTS's reduction/clustering
@@ -119,20 +120,21 @@ class DiscoveryEngine:
         that share a persisted index.
     executor:
         The execution backend running every parallel site — query
-        fan-outs, sharded scatter-gather, fused-scan chunking.  Pass a
-        backend name (``"inline"`` / ``"thread"`` / ``"process"``), a
+        fan-outs and sharded scatter-gather.  Pass a backend name
+        (``"inline"`` / ``"thread"`` / ``"process"``), a
         ready :class:`~repro.exec.ExecutionBackend` instance (the
         caller then owns its lifecycle), or ``None`` to defer to the
         ``REPRO_EXECUTOR`` environment variable (default ``thread``).
-        A process backend additionally stores ExS scan matrices in
-        shared memory and scans them in resident worker processes.
+        A process backend additionally scans ExS shards in resident
+        worker processes (``max_mean`` value matrices in shared
+        memory).
         The engine closes a backend it created itself at
         :meth:`close`.
     sanitize:
         Arm the runtime sanitizers: the lifecycle lock becomes an
         :class:`~repro.core.lifecycle.InstrumentedRWLock` (raises on
         write-while-reading reentrancy, double-release and
-        reader-starvation instead of deadlocking) and the fused scan
+        reader-starvation instead of deadlocking) and the scan
         kernels guard their operands against NaN/Inf and silent dtype
         promotion.  ``None`` (the default) defers to the
         ``REPRO_SANITIZE`` environment variable, which is how the CI
@@ -469,8 +471,8 @@ class DiscoveryEngine:
         params = self.method_params.get(name, {})
         if name == "exs":
             # A process backend scans ExS state in resident workers, so
-            # the stacked matrix goes into a shared-memory segment the
-            # workers map zero-copy.
+            # a max_mean value matrix goes into a shared-memory segment
+            # the workers map zero-copy.
             defaults: dict[str, Any] = {
                 "dtype": self.dtype,
                 "shared_buffers": self._executor.wants_shared_buffers,

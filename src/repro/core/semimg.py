@@ -10,21 +10,26 @@ Cells repeat heavily in tables (dates, categories, country names), so
 each relation stores its *unique* ``(name, value)`` pairs together with
 their multiplicities.  Averages weighted by multiplicity are exactly
 the averages over all attribute occurrences that Algorithm 1 computes,
-at a fraction of the memory.
+at a fraction of the memory — and since the vectors are unit-normalised
+and the average is linear, Algorithm 1's score of a relation is the
+query's dot product with one vector, the relation's count-weighted
+centroid (:func:`relation_centroids`).
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.annotations import monotonic, requires_lock
 from repro.datamodel.relation import Federation, Relation
 from repro.embedding.base import SentenceEncoder
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageError
 from repro.linalg.distances import normalize_rows
 from repro.linalg.sharedbuf import ArrayBuffer, PlainBuffer
 from repro.obs import MetricsRegistry
@@ -37,6 +42,7 @@ __all__ = [
     "build_relation_embedding",
     "build_federation_embeddings",
     "load_federation_embeddings",
+    "relation_centroids",
     "save_federation_embeddings",
     "save_federation_embeddings_npz",
 ]
@@ -124,6 +130,29 @@ def build_relation_embedding(
     )
 
 
+def relation_centroids(relations: Sequence[RelationEmbedding]) -> np.ndarray:
+    """The ``(R, d)`` float64 count-weighted centroid of each relation.
+
+    Row ``r`` is ``Σᵢ (countᵢ / n_cells) · v̂ᵢ`` over relation ``r``'s
+    unique value vectors: one CSR weight matrix times the relations'
+    stacked rows.  The sparse product accumulates each output row from
+    that row's own entries, in order, so a relation's centroid has the
+    same bits whether it is computed over the whole federation or over
+    one delta's relations — and from float32 vectors or their exact
+    float64 copies.
+    """
+    sizes = [r.n_unique for r in relations]
+    rows = np.concatenate([r.vectors for r in relations], dtype=np.float64)
+    counts = np.concatenate([r.counts for r in relations]).astype(rows.dtype)
+    indptr = np.concatenate([np.zeros(1, dtype=np.intp), np.cumsum(sizes, dtype=np.intp)])
+    totals = np.add.reduceat(counts, indptr[:-1])
+    weights = sp.csr_matrix(
+        (counts / np.repeat(totals, sizes), np.arange(rows.shape[0]), indptr),
+        shape=(len(relations), rows.shape[0]),
+    )
+    return weights @ rows
+
+
 @monotonic("generation")
 @dataclass
 class FederationEmbeddings:
@@ -158,6 +187,11 @@ class FederationEmbeddings:
     #: generation — any delta re-stacks, so consumers must go through
     #: :meth:`stack_buffer`, which returns ``None`` once stale.
     stack_backing: "tuple[ArrayBuffer, int] | None" = field(
+        default=None, repr=False, compare=False
+    )
+    #: :func:`relation_centroids` of every relation as read from the
+    #: snapshot, with the generation it reflects: ``(matrix, generation)``.
+    saved_centroids: "tuple[np.ndarray, int] | None" = field(
         default=None, repr=False, compare=False
     )
 
@@ -257,6 +291,16 @@ class FederationEmbeddings:
         norm = np.linalg.norm(vector)
         return vector / norm if norm > 0 else vector
 
+    def centroids(self) -> np.ndarray:
+        """Every relation's centroid (:func:`relation_centroids`), in
+        store order: the snapshot's copy while no delta has moved the
+        generation, computed otherwise.  The saved rows are the bits a
+        computation would give, so a load skips the pass over every
+        value vector without changing a score."""
+        if self.saved_centroids is not None and self.saved_centroids[1] == self.generation:
+            return self.saved_centroids[0]
+        return relation_centroids(self.relations)
+
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All value vectors stacked, plus each row's relation index.
 
@@ -316,10 +360,11 @@ def save_federation_embeddings(
     vectors stacked (in ``dtype``, default the embeddings' native
     float32 — an engine passes its scan dtype so a mapped load serves
     the exact bytes a cold build would compute), ``counts`` and
-    ``block_sizes`` side arrays, and a ``relations`` JSON document with
-    ids, cell values and attribute names.  The stacked layout is what
-    makes ``mmap=True`` loads zero-copy: the mapped file *is* the ExS
-    scan matrix.
+    ``block_sizes`` side arrays, the float64 ``centroids`` ExS-mean
+    scans (so a load need not touch every value vector to serve it),
+    and a ``relations`` JSON document with ids, cell values and
+    attribute names.  The stacked layout is what makes ``mmap=True``
+    loads zero-copy: the mapped file *is* the ``max_mean`` scan matrix.
     """
     target = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
     relations = embeddings.relations
@@ -347,6 +392,8 @@ def save_federation_embeddings(
     writer.add_array(
         "block_sizes", np.array([r.n_unique for r in relations], dtype=np.int64)
     )
+    if relations:
+        writer.add_array("centroids", embeddings.centroids())
     writer.add_json(
         "relations",
         {
@@ -404,6 +451,10 @@ def _load_snapshot(
     doc = snapshot.json("relations")
     counts = snapshot.array("counts")
     sizes = snapshot.array("block_sizes")
+    # Snapshots written before centroids were persisted compute them.
+    centroids = (
+        snapshot.array("centroids") if "centroids" in snapshot.segment_names() else None
+    )
     backing: ArrayBuffer = (
         snapshot.mapped("vectors") if mmap else PlainBuffer(snapshot.array("vectors"))
     )
@@ -423,12 +474,18 @@ def _load_snapshot(
                 )
             )
             start = stop
+        if centroids is not None and centroids.shape != (len(relations), int(meta["dim"])):
+            raise StorageError(
+                f"snapshot at {snapshot.path} stores {centroids.shape} centroids "
+                f"for {len(relations)} relations of dim {meta['dim']}"
+            )
         embeddings = FederationEmbeddings(
             relations=relations,
             encoder=encoder,
             build_seconds=float(meta.get("build_seconds", 0.0)),
             generation=snapshot.generation,
             allow_empty=allow_empty,
+            saved_centroids=None if centroids is None else (centroids, snapshot.generation),
         )
     except BaseException:
         # A malformed document must not strand the mapped pages: until

@@ -415,9 +415,9 @@ class ShardedSearch(SearchMethod):
         block per shard and only score matrices come back — no index
         pickling, no GIL — each cut to its shard's top-k on arrival.
         Returns ``None`` when the backend hosts no resident state or
-        any live shard lacks a published spec (e.g. a ``fused=False``
-        prototype); callers then fall back to in-process per-shard
-        scans.
+        any live shard lacks a published spec (a method without a
+        resident-scan form); callers then fall back to in-process
+        per-shard scans.
         """
         backend = self._scan_backend()
         if backend is None:

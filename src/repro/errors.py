@@ -47,7 +47,7 @@ class EmptyIndexError(ReproError):
 class SanitizerError(ReproError):
     """A runtime sanitizer (``REPRO_SANITIZE=1``) detected an invariant
     violation: lock misuse that would deadlock or tear state, or
-    non-finite / wrongly-typed operands at a fused-kernel boundary."""
+    non-finite / wrongly-typed operands at a scan-kernel boundary."""
 
 
 class ServingError(ReproError):

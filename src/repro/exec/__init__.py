@@ -1,8 +1,8 @@
 """The unified execution layer: pluggable parallel backends.
 
 One :class:`ExecutionBackend` per engine runs every parallel site the
-library has — query-chunk fan-outs, fused-scan row-range chunking,
-scatter-gather over shards and the serving dispatch pool:
+library has — query-chunk fan-outs, scatter-gather over shards and
+the serving dispatch pool:
 
 * :class:`InlineBackend` — serial, deterministic reference;
 * :class:`ThreadBackend` — one persistent sized thread pool (BLAS

@@ -1,8 +1,7 @@
 """Execution backends: the library's one place to run parallel work.
 
 Every parallel site in the library — the query-chunk fan-out in
-``repro.core.base``, the fused-scan row-range chunking in
-``repro.core.exhaustive``, both scatter-gather pools in
+``repro.core.base``, both scatter-gather pools in
 ``repro.core.sharding`` and the serving dispatch executor — submits to
 an :class:`ExecutionBackend` instead of constructing its own pool
 (RL005 lints exactly that).  Three implementations share the surface:
@@ -16,7 +15,7 @@ an :class:`ExecutionBackend` instead of constructing its own pool
   per-call ``cap`` clamping so a caller's ``workers=`` bound holds
   without resizing the pool;
 * :class:`ProcessBackend` — worker processes holding resident shard
-  state (stacked matrices in shared memory) behind per-worker command
+  state (scan matrices, shared or pickled) behind per-worker command
   pipes, for scans that escape the GIL entirely.  Generic tasks —
   closures over live in-process indexes — cannot cross a process
   boundary, so they run on the inherited thread pool; what makes the

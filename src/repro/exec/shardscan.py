@@ -1,13 +1,14 @@
 """Resident shard scan state and the worker-process protocol.
 
 A :class:`ShardScanSpec` is everything a worker process needs to scan
-one shard's fused ExS state: the stacked matrix (as a
+one shard's ExS state: the scan matrix — one centroid per relation
+under ``mean``, every value vector under ``max_mean`` — (as a
 :class:`~repro.linalg.sharedbuf.BufferSpec` naming a shared-memory
 segment or — ``kind="mmap"`` — a committed segment file the worker
-maps read-only, or the raw array when neither exists), the ``reduceat``
-offsets, the pre-folded mean weights and the aggregation knobs —
-stamped with the shard store's monotone ``generation`` so stale state
-is detectable.
+maps read-only, or the raw array when neither exists), the relation
+block offsets, per-row weights and the aggregation knobs — stamped
+with the shard store's monotone ``generation`` so stale state is
+detectable.
 
 :func:`shard_worker_main` is the worker entry point: a loop over a
 command pipe speaking five tuples —
@@ -18,17 +19,17 @@ command pipe speaking five tuples —
 ``("drop", key)``
     release ``key``'s resident state.
 ``("scan", key, generation, query_block)``
-    GEMM + segment reduction over the resident matrix; errors loudly
-    when ``key`` is unknown or its resident generation differs.
+    the ExS scan kernel over the resident matrix; errors loudly when
+    ``key`` is unknown or its resident generation differs.
 ``("ping",)`` / ``("stop",)``
     liveness probe / graceful shutdown.
 
 One request gets exactly one ``("ok", payload)`` or ``("err", text)``
 reply; the parent serializes requests per worker with a lock, so the
 pipe never interleaves frames.  The scan kernel is the very same
-:func:`repro.linalg.segment.segment_scores` the parent uses inline,
-over the very same bytes (the shared segment), so worker scores are
-bitwise identical to an in-process scan.
+:func:`repro.linalg.segment.scan_scores` the parent uses inline, over
+the very same bytes, so worker scores are bitwise identical to an
+in-process scan.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.linalg import sharedbuf
-from repro.linalg.segment import segment_scores
+from repro.linalg.segment import scan_scores
 from repro.linalg.sharedbuf import ArrayBuffer, BufferSpec, SharedBuffer
 from repro.storage.mapped import MappedBuffer
 
@@ -52,12 +53,15 @@ __all__ = ["ResidentShard", "ShardScanSpec", "shard_worker_main"]
 
 @dataclass(frozen=True)
 class ShardScanSpec:
-    """Picklable fused-scan state of one shard at one generation.
+    """Picklable ExS scan state of one shard at one generation.
 
     Exactly one of ``buffer`` / ``matrix`` is set: ``buffer`` names a
-    shared-memory segment the worker attaches zero-copy; ``matrix`` is
-    the ordinary-ndarray fallback (pickled through the pipe) for
-    platforms without shared memory.
+    shared-memory segment (or mapped file) the worker attaches
+    zero-copy; ``matrix`` is the ordinary ndarray pickled through the
+    pipe — the centroid matrix, or the fallback for platforms without
+    shared memory.  ``weights`` are per-row segment weights for
+    :func:`~repro.linalg.segment.segment_scores` replays; the scan
+    itself needs none (centroids already fold the count weights in).
     """
 
     generation: int
@@ -98,13 +102,12 @@ class ResidentShard:
         return self.spec.generation
 
     def scan(self, query_block: np.ndarray) -> np.ndarray:
-        """The fused ``(R, Q)`` score matrix — the parent's kernel,
-        verbatim, over the shared bytes."""
-        sims = self.matrix @ query_block.T
-        return segment_scores(
-            sims,
+        """The ``(R, Q)`` score matrix — the parent's kernel, verbatim,
+        over the same bytes."""
+        return scan_scores(
+            self.matrix,
+            query_block,
             self.spec.offsets,
-            self.spec.weights,
             aggregate=self.spec.aggregate,
             top_fraction=self.spec.top_fraction,
         )

@@ -1,5 +1,5 @@
 """Numeric kernels shared across the library: distances, top-k,
-k-means, segment reductions and shared-memory buffers."""
+k-means, the ExS scan kernels and shared-memory buffers."""
 
 from repro.linalg.distances import (
     Metric,
@@ -13,7 +13,7 @@ from repro.linalg.distances import (
     similarity,
 )
 from repro.linalg.kmeans import KMeans
-from repro.linalg.segment import segment_scores
+from repro.linalg.segment import rowwise_scores, scan_scores, segment_scores
 from repro.linalg.sharedbuf import (
     ArrayBuffer,
     BufferSpec,
@@ -39,6 +39,8 @@ __all__ = [
     "pairwise_distance",
     "pairwise_similarity",
     "row_norms",
+    "rowwise_scores",
+    "scan_scores",
     "segment_scores",
     "shared_memory_available",
     "similarity",

@@ -4,8 +4,8 @@
 runtime checks that complement the static rules in
 :mod:`repro.analysis`:
 
-* **operand guards** — before a fused kernel runs (the ExS
-  federation-wide GEMM, the vector database's batched scan), its array
+* **operand guards** — before a scan kernel runs (the ExS
+  federation-wide scan, the vector database's batched scan), its array
   operands are checked for NaN/Inf values and for silent dtype
   promotion away from the configured storage dtype;
 * **instrumented locking** — the engine swaps its

@@ -35,6 +35,7 @@ from repro.linalg import (
     BufferSpec,
     SharedBuffer,
     live_segment_names,
+    rowwise_scores,
     segment_scores,
     shared_memory_available,
 )
@@ -54,10 +55,15 @@ def shm_segments() -> set[str]:
     return {p.name for p in DEV_SHM.iterdir()}
 
 
-def make_spec(matrix: np.ndarray, generation: int = 1, shared: bool = True):
-    """(ShardScanSpec, owner buffer or None) over one uniform segment."""
-    offsets = np.arange(0, matrix.shape[0], 2, dtype=np.intp)
-    weights = np.full(matrix.shape[0], 0.5, dtype=np.float64)
+def make_spec(
+    matrix: np.ndarray, generation: int = 1, shared: bool = True, aggregate: str = "mean"
+):
+    """(ShardScanSpec, owner buffer or None): a centroid matrix (one row
+    per relation) under ``mean``, two-row value blocks under
+    ``max_mean``."""
+    step = 1 if aggregate == "mean" else 2
+    offsets = np.arange(0, matrix.shape[0], step, dtype=np.intp)
+    weights = np.ones(matrix.shape[0], dtype=np.float64)
     buffer = SharedBuffer.from_array(matrix, shared=shared)
     spec = buffer.spec()
     return (
@@ -67,8 +73,8 @@ def make_spec(matrix: np.ndarray, generation: int = 1, shared: bool = True):
             matrix=None if spec is not None else buffer.array,
             offsets=offsets,
             weights=weights,
-            aggregate="mean",
-            top_fraction=0.1,
+            aggregate=aggregate,
+            top_fraction=0.5,
         ),
         buffer,
     )
@@ -319,19 +325,28 @@ class TestResolveBackend:
 
 class TestProcessBackend:
     def test_scan_is_bitwise_identical_to_inline_kernel(self, rng):
-        matrix = rng.standard_normal((8, 5)).astype(np.float32)
+        """Mean specs run the row-wise centroid kernel, max_mean specs
+        the GEMM + segmented partition — each exactly as inline."""
+        centroids = rng.standard_normal((8, 5))
+        values = rng.standard_normal((8, 5)).astype(np.float32)
         queries = rng.standard_normal((3, 5)).astype(np.float32)
-        spec, buffer = make_spec(matrix)
+        mean, mean_buffer = make_spec(centroids)
+        max_mean, max_mean_buffer = make_spec(values, aggregate="max_mean")
         with ProcessBackend(max_workers=2) as backend:
-            backend.publish_shard("s0", spec)
-            [scores] = backend.scan_shards([("s0", 1, queries)])
-            expected = segment_scores(
-                matrix @ queries.T, spec.offsets, spec.weights, aggregate="mean"
+            backend.publish_shard("mean", mean)
+            backend.publish_shard("max_mean", max_mean)
+            got_mean, got_max_mean = backend.scan_shards(
+                [("mean", 1, queries), ("max_mean", 1, queries)]
             )
-            assert np.array_equal(scores, expected)
+            assert np.array_equal(got_mean, rowwise_scores(centroids, queries))
+            expected = segment_scores(
+                values @ queries.T, max_mean.offsets, aggregate="max_mean", top_fraction=0.5
+            )
+            assert np.array_equal(got_max_mean, expected)
             counters = backend.metrics.snapshot()["counters"]
-            assert counters["exec.process.shard_scans"] == 1
-        buffer.close()
+            assert counters["exec.process.shard_scans"] == 2
+        mean_buffer.close()
+        max_mean_buffer.close()
 
     def test_scan_many_shards_in_request_order(self, rng):
         matrices = [rng.standard_normal((4, 3)).astype(np.float32) for _ in range(3)]
@@ -341,11 +356,8 @@ class TestProcessBackend:
             for i, (spec, _) in enumerate(published):
                 backend.publish_shard(f"s{i}", spec)
             results = backend.scan_shards([(f"s{i}", 1, queries) for i in range(3)])
-            for matrix, (spec, _), scores in zip(matrices, published, results):
-                expected = segment_scores(
-                    matrix @ queries.T, spec.offsets, spec.weights, aggregate="mean"
-                )
-                assert np.array_equal(scores, expected)
+            for matrix, scores in zip(matrices, results):
+                assert np.array_equal(scores, rowwise_scores(matrix, queries))
         for _, buffer in published:
             buffer.close()
 
@@ -381,10 +393,7 @@ class TestProcessBackend:
         with ProcessBackend(max_workers=1) as backend:
             backend.publish_shard("s0", spec)
             [scores] = backend.scan_shards([("s0", 1, queries)])
-            expected = segment_scores(
-                matrix @ queries.T, spec.offsets, spec.weights, aggregate="mean"
-            )
-            assert np.array_equal(scores, expected)
+            assert np.array_equal(scores, rowwise_scores(matrix, queries))
         buffer.close()
 
     def test_generic_map_still_works(self):
@@ -422,8 +431,10 @@ class TestProcessBackend:
 QUERIES = ["vaccination campaign europe", "football league results", "gdp figures"]
 
 
-def make_engine(tiny_federation, executor, shards: int = 1) -> DiscoveryEngine:
-    engine = DiscoveryEngine(dim=48, shards=shards, executor=executor)
+def make_engine(tiny_federation, executor, shards: int = 1, **exs_params) -> DiscoveryEngine:
+    engine = DiscoveryEngine(
+        dim=48, shards=shards, executor=executor, method_params={"exs": exs_params}
+    )
     engine.index(tiny_federation)
     return engine
 
@@ -436,14 +447,14 @@ class TestEngineIntegration:
 
     def test_search_batch_reuses_one_pool(self, tiny_federation):
         """Satellite regression: repeated ``search_batch(workers>1)``
-        calls must not churn fresh pools."""
+        calls must not churn fresh pools (ANNS fans queries out)."""
         with make_engine(tiny_federation, ThreadBackend(max_workers=4)) as engine:
             backend = engine.executor
-            engine.search_batch(QUERIES, method="exs", workers=4)
+            engine.search_batch(QUERIES, method="anns", workers=4)
             first = backend.pool
             assert first is not None
-            engine.search_batch(QUERIES, method="exs", workers=4)
-            engine.search_batch(QUERIES, method="exs", workers=2)
+            engine.search_batch(QUERIES, method="anns", workers=4)
+            engine.search_batch(QUERIES, method="anns", workers=2)
             assert backend.pool is first
         backend.close()
 
@@ -484,9 +495,10 @@ class TestEngineIntegration:
                     ]
 
     def test_engine_close_releases_every_segment(self, tiny_federation):
+        """``max_mean`` keeps its value matrices in shared segments."""
         before_registry = set(live_segment_names())
         before_shm = shm_segments()
-        engine = make_engine(tiny_federation, "process", shards=2)
+        engine = make_engine(tiny_federation, "process", shards=2, aggregate="max_mean")
         engine.search_batch(QUERIES, method="exs", workers=4)
         assert set(live_segment_names()) - before_registry  # buffers live
         engine.close()

@@ -2,8 +2,8 @@
 
 Algorithm 1 as plain loops (float64, count-weighted mean, ``h`` filter,
 ``(-score, relation_id)``, top-k) is the only reference in this file.
-Every way of *filling* the ``(R, Q)`` score matrix — fused GEMM,
-per-block reference, row-range workers, the per-attribute loop, thread
+Every way of *filling* the ``(R, Q)`` score matrix — the row-wise
+centroid scan, the ``max_mean`` GEMM, either storage dtype, thread
 shard lanes, worker-resident shards — and every way of *cutting* it
 (k, h, exact ties, shard merges) is compared with that oracle, never
 pairwise with another engine path.
@@ -24,7 +24,8 @@ from repro.core.results import RelationMatch
 from repro.datamodel.relation import Federation, Relation
 from repro.linalg import shared_memory_available
 
-#: The engines scan in float32, the oracle in float64.
+#: Queries are quantised to the engine dtype (float32 by default); the
+#: oracle scores in float64.
 TOL = 1e-5
 
 TOPICS = [
@@ -133,9 +134,9 @@ def check_engine(engine: DiscoveryEngine, aggregate: str = "mean") -> None:
                     assert [len(answer) for answer in batch] == [0] * len(QUERIES)
 
 
-def make_engine(shards=1, executor="inline", **exs_params) -> DiscoveryEngine:
+def make_engine(shards=1, executor="inline", dtype=np.float32, **exs_params) -> DiscoveryEngine:
     return DiscoveryEngine(
-        dim=48, shards=shards, executor=executor, method_params={"exs": exs_params}
+        dim=48, shards=shards, executor=executor, dtype=dtype, method_params={"exs": exs_params}
     )
 
 
@@ -148,13 +149,16 @@ needs_shared_memory = pytest.mark.skipif(
 
 
 @pytest.mark.parametrize("aggregate", ["mean", "max_mean"])
-@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("float64", [True, False])
 @pytest.mark.parametrize(
     "executor", ["inline", "thread", pytest.param("process", marks=needs_shared_memory)]
 )
 @pytest.mark.parametrize("shards", [1, 2, 5])
-def test_every_path_agrees_with_oracle(shards, executor, fused, aggregate):
-    with make_engine(shards, executor, fused=fused, aggregate=aggregate) as engine:
+def test_every_path_agrees_with_oracle(shards, executor, float64, aggregate):
+    """``float64`` picks the engine dtype: float64 storage, or the
+    float32 default."""
+    dtype = np.float64 if float64 else np.float32
+    with make_engine(shards, executor, dtype=dtype, aggregate=aggregate) as engine:
         engine.index(federation())
         check_engine(engine, aggregate)
 

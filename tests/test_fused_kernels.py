@@ -1,16 +1,18 @@
-"""Fused scan kernels: rank identity, batched ADC, dtype and memory.
+"""Scan kernels: ExS against the Algorithm-1 oracle, batched ADC, dtype
+and memory.
 
-The perf work rewired three serving paths — the federation-wide fused
-ExS kernel (one GEMM + segment reduction), dtype-preserving vector
-storage, and batched ADC for PQ configurations.  These tests pin the
-invariant that made the rewiring safe: the fast paths rank *exactly*
-what the reference paths rank.
+The perf work rewired three serving paths — the ExS scan (row-wise
+centroid scores under ``mean``, one GEMM + segmented partition under
+``max_mean``), dtype-preserving vector storage, and batched ADC for PQ
+configurations.  These tests pin the invariant that made the rewiring
+safe: the fast paths rank *exactly* what the reference paths rank.
 
-Tolerance model: at float64 fused and per-block scans agree to 1e-9.
-At float32 the fused kernel runs one big GEMM where the reference ran
-one small GEMM per relation, and BLAS reduction order differs between
-gemv/gemm kernels and between matrix shapes, so scores drift by up to
-~1e-5 on unit-norm embeddings; rankings must still be identical.
+The ExS reference is ``tests.test_exs_result_path.oracle_scores``:
+every value vector against the query in float64, then the
+count-weighted mean or the top-fraction mean.  Tolerance model: 1e-9
+at float64.  At float32 the query is quantised and the ``max_mean``
+GEMM reduces in float32, so scores drift by up to ~1e-5 on unit-norm
+embeddings; rankings must still be identical.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.linalg.distances import Metric, cosine_similarity, normalize_rows
 from repro.linalg.topk import top_k_indices, top_k_indices_rowwise
 from repro.vectordb.collection import Collection, Point
 from repro.vectordb.index import HNSWPQIndex
+from tests.test_exs_result_path import oracle_scores
 
 TOPICS = [
     ["vaccine", "dose", "immunity", "booster", "trial"],
@@ -66,86 +69,72 @@ def score_tol(dtype) -> float:
     return 1e-9 if np.dtype(dtype) == np.float64 else 1e-4
 
 
-def make_exs_engine(dtype, fused: bool, shards: int = 1, **exs_params) -> DiscoveryEngine:
+def make_exs_engine(dtype, shards: int = 1, **exs_params) -> DiscoveryEngine:
     return DiscoveryEngine(
         dim=48,
         dtype=dtype,
         shards=shards,
-        method_params={"exs": {"fused": fused, **exs_params}},
+        method_params={"exs": exs_params},
     )
 
 
-def assert_same_batch(a: DiscoveryEngine, b: DiscoveryEngine, tol: float) -> None:
-    ra = a.search_batch(QUERIES, method="exs", k=100, h=-1.0)
-    rb = b.search_batch(QUERIES, method="exs", k=100, h=-1.0)
-    for wa, wb in zip(ra, rb):
-        assert wa.relation_ids() == wb.relation_ids()
-        for ma, mb in zip(wa.matches, wb.matches):
-            assert ma.score == pytest.approx(mb.score, abs=tol)
+def assert_matches_reference(engine: DiscoveryEngine, tol: float, aggregate: str = "mean") -> None:
+    batch = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
+    for query, got in zip(QUERIES, batch):
+        truth = oracle_scores(engine.embeddings, query, aggregate)
+        want = sorted(truth, key=lambda rid: (-truth[rid], rid))
+        assert got.relation_ids() == want
+        for match in got.matches:
+            assert match.score == pytest.approx(truth[match.relation_id], abs=tol)
 
 
-# -- fused vs per-block ExS ------------------------------------------------
+# -- the ExS scan vs the per-block reference ---------------------------------
 
 
 class TestFusedVsPerBlock:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("aggregate", ["mean", "max_mean"])
     def test_batch_rank_identity(self, dtype, aggregate):
-        fed = federation(range(8))
-        fused = make_exs_engine(dtype, fused=True, aggregate=aggregate).index(fed)
-        loop = make_exs_engine(dtype, fused=False, aggregate=aggregate).index(fed)
-        assert_same_batch(fused, loop, score_tol(dtype))
+        engine = make_exs_engine(dtype, aggregate=aggregate).index(federation(range(8)))
+        assert_matches_reference(engine, score_tol(dtype), aggregate)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_single_query_paths_agree(self, dtype):
-        """Per-attribute loop (Algorithm 1), vectorized Q=1 fused kernel
-        and the batched fused kernel all rank identically."""
-        fed = federation(range(6))
-        reference = make_exs_engine(dtype, fused=False).index(fed)
-        vectorized = DiscoveryEngine(
-            dim=48, dtype=dtype, method_params={"exs": {"vectorized": True}}
-        ).index(fed)
-        batched = make_exs_engine(dtype, fused=True).index(fed)
-        tol = score_tol(dtype)
-        for query in QUERIES:
-            want = reference.search(query, method="exs", k=100, h=-1.0)
-            got = vectorized.search(query, method="exs", k=100, h=-1.0)
-            via_batch = batched.search_batch([query], method="exs", k=100, h=-1.0)[0]
-            assert want.relation_ids() == got.relation_ids()
-            assert want.relation_ids() == via_batch.relation_ids()
-            for mw, mg, mb in zip(want.matches, got.matches, via_batch.matches):
-                assert mg.score == pytest.approx(mw.score, abs=tol)
-                assert mb.score == pytest.approx(mw.score, abs=tol)
+        """A single query is a batch of one: ``search`` returns the bits
+        ``search_batch`` does, and both rank like the reference."""
+        engine = make_exs_engine(dtype).index(federation(range(6)))
+        batch = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
+        for query, via_batch in zip(QUERIES, batch):
+            single = engine.search(query, method="exs", k=100, h=-1.0)
+            assert [(m.relation_id, m.score) for m in single.matches] == [
+                (m.relation_id, m.score) for m in via_batch.matches
+            ]
+        assert_matches_reference(engine, score_tol(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_parallel_workers_match_sequential(self, dtype):
         fed = federation(range(8))
-        engine = make_exs_engine(dtype, fused=True).index(fed)
+        engine = make_exs_engine(dtype).index(fed)
         sequential = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
         parallel = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0, workers=4)
         for s, p in zip(sequential, parallel):
             assert s.relation_ids() == p.relation_ids()
             for ms, mp in zip(s.matches, p.matches):
-                # Same kernel over row sub-ranges: bitwise identical.
+                # Same kernel, same operands: bitwise identical.
                 assert ms.score == mp.score
 
     @pytest.mark.parametrize("shards", [2, 5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sharded_fused_matches_unsharded_loop(self, shards, dtype):
-        fed = federation(range(8))
-        loop = make_exs_engine(dtype, fused=False).index(fed)
-        sharded = make_exs_engine(dtype, fused=True, shards=shards).index(fed)
-        assert_same_batch(sharded, loop, score_tol(dtype))
+        sharded = make_exs_engine(dtype, shards=shards).index(federation(range(8)))
+        assert_matches_reference(sharded, score_tol(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_delta_sequence_keeps_rank_identity(self, dtype):
-        """add/update/remove deltas patch the fused segment bookkeeping
-        (offsets + pre-folded weights) exactly like the per-block view."""
-        fed = federation(range(5))
-        fused = make_exs_engine(dtype, fused=True).index(fed)
-        loop = make_exs_engine(dtype, fused=False).index(fed)
-        for engine in (fused, loop):
-            engine.method("exs")  # build before deltas so indexes patch in place
+        """add/update/remove deltas patch the scan matrix and its block
+        offsets exactly like a per-block view of the store."""
+        engine = make_exs_engine(dtype).index(federation(range(5)))
+        engine.method("exs")  # build before deltas so the index patches in place
         steps = [
             ("add", {qualified(8): make_relation(8)}),
             ("update", {qualified(2): make_relation(2, version=1)}),
@@ -154,24 +143,18 @@ class TestFusedVsPerBlock:
             ("update", {qualified(8): make_relation(8, version=2)}),
             ("remove", [qualified(3), qualified(9)]),
         ]
-        tol = score_tol(dtype)
         for op, payload in steps:
-            for engine in (fused, loop):
-                getattr(engine, f"{op}_relations")(payload)
-            assert_same_batch(fused, loop, tol)
+            getattr(engine, f"{op}_relations")(payload)
+            assert_matches_reference(engine, score_tol(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sharded_delta_sequence(self, dtype):
-        fed = federation(range(6))
-        loop = make_exs_engine(dtype, fused=False).index(fed)
-        sharded = make_exs_engine(dtype, fused=True, shards=2).index(fed)
-        for engine in (loop, sharded):
-            engine.method("exs")
-        for engine in (loop, sharded):
-            engine.add_relations({qualified(7): make_relation(7)})
-            engine.update_relations({qualified(1): make_relation(1, version=1)})
-            engine.remove_relations([qualified(4)])
-        assert_same_batch(sharded, loop, score_tol(dtype))
+        sharded = make_exs_engine(dtype, shards=2).index(federation(range(6)))
+        sharded.method("exs")
+        sharded.add_relations({qualified(7): make_relation(7)})
+        sharded.update_relations({qualified(1): make_relation(1, version=1)})
+        sharded.remove_relations([qualified(4)])
+        assert_matches_reference(sharded, score_tol(dtype))
 
     def test_rejects_unsupported_dtype(self):
         with pytest.raises(ValueError):
@@ -356,26 +339,36 @@ class TestCollectionBatching:
 
 class TestMemoryObservability:
     def test_float32_halves_engine_index_bytes(self):
+        """The value matrix ``max_mean`` stacks is stored in the engine
+        dtype; ``mean`` centroids are float64 either way."""
         fed = federation(range(6))
         sizes = {}
         for dtype in (np.float32, np.float64):
-            engine = make_exs_engine(dtype, fused=True).index(fed)
+            engine = make_exs_engine(dtype, aggregate="max_mean").index(fed)
             engine.method("exs")  # only ExS built: ratio is exact
             sizes[np.dtype(dtype).name] = engine.metrics.gauge("engine.index_bytes").value
         assert sizes["float64"] == 2 * sizes["float32"] > 0
 
     def test_exs_index_bytes_is_stacked_matrix(self):
-        engine = make_exs_engine(np.float32, fused=True).index(federation(range(6)))
-        method = engine.method("exs")
+        fed = federation(range(6))
+        mean = make_exs_engine(np.float32).index(fed)
+        assert mean.method("exs").index_bytes() == 6 * 48 * 8  # R centroids x d x float64
+        max_mean = make_exs_engine(np.float32, aggregate="max_mean").index(fed)
+        method = max_mean.method("exs")
         assert method.index_bytes() == method._matrix.nbytes
-        assert engine.embeddings.nbytes > 0  # semantic store reports too
+        assert method.index_bytes() == max_mean.embeddings.total_vectors * 48 * 4
+        assert mean.embeddings.nbytes > 0  # semantic store reports too
 
     def test_fused_rows_counter(self):
-        engine = make_exs_engine(np.float32, fused=True).index(federation(range(6)))
+        """Only ``max_mean`` pushes value rows through a GEMM."""
+        engine = make_exs_engine(np.float32, aggregate="max_mean").index(federation(range(6)))
         engine.method("exs")
         rows = engine.embeddings.total_vectors
         engine.search_batch(QUERIES, method="exs", k=5, h=-1.0)
         assert engine.metrics.counter("exs.fused_rows").value == rows * len(QUERIES)
+        mean = make_exs_engine(np.float32).index(federation(range(6)))
+        mean.search_batch(QUERIES, method="exs", k=5, h=-1.0)
+        assert mean.metrics.counter("exs.fused_rows").value == 0
 
 
 # -- linalg fast paths ------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core import DiscoveryEngine
+from repro.core.semimg import RelationEmbedding, relation_centroids
 from repro.errors import ConfigurationError, DimensionMismatchError, NotFittedError
 from repro.linalg import (
     KMeans,
@@ -15,6 +17,7 @@ from repro.linalg import (
     normalize_rows,
     pairwise_distance,
     pairwise_similarity,
+    rowwise_scores,
     similarity,
     top_k_indices,
     top_k_indices_rowwise,
@@ -181,6 +184,78 @@ class TestTopK:
         np.testing.assert_array_equal(top_k_indices(scores, 2), [2, 4])
         np.testing.assert_array_equal(top_k_indices(scores, 4), [2, 4, 0, 1])
         np.testing.assert_array_equal(top_k_indices(scores, 4, largest=False), [0, 4, 2, 1])
+
+
+class TestExSScanKernels:
+    """The ExS-mean scan is exact by construction: a relation's score is
+    its own centroid's row-wise dot product with the query, so no batch,
+    shard layout or delta history can move its bits."""
+
+    @pytest.mark.parametrize("n_queries", [1, 16])
+    @pytest.mark.parametrize("dim", [48, 61])
+    def test_rowwise_bits_ignore_position_address_and_height(self, rng, dim, n_queries):
+        row = rng.standard_normal(dim)
+        queries = rng.standard_normal((n_queries, dim)).astype(np.float32)
+        # Each query alone against the row alone: the bits every layout must give.
+        want = np.array(
+            [rowwise_scores(row[np.newaxis, :], queries[j : j + 1])[0, 0] for j in range(n_queries)]
+        )
+        for height in (1, 2, 3, 7, 33, 64):
+            for offset in range(4):  # shifts the matrix's address by 8-byte steps
+                buffer = np.empty(height * dim + 4)
+                matrix = buffer[offset : offset + height * dim].reshape(height, dim)
+                matrix[:] = rng.standard_normal((height, dim))
+                for position in range(height):
+                    saved = matrix[position].copy()
+                    matrix[position] = row
+                    got = rowwise_scores(matrix, queries)[position]
+                    assert np.array_equal(got, want), (height, offset, position)
+                    matrix[position] = saved
+
+    def test_relation_centroids_are_per_relation(self, rng):
+        """A centroid computed over the whole federation has the bits of
+        the same relation's centroid computed alone — and of its float64
+        copy (what a float64 snapshot loads)."""
+        relations = []
+        for i in range(40):
+            n = int(rng.integers(1, 30))
+            relations.append(
+                RelationEmbedding(
+                    relation_id=f"r{i}",
+                    values=tuple(f"v{j}" for j in range(n)),
+                    attr_names=("A",) * n,
+                    vectors=normalize_rows(rng.standard_normal((n, 48))).astype(np.float32),
+                    counts=rng.integers(1, 6, size=n),
+                )
+            )
+        together = relation_centroids(relations)
+        assert together.shape == (40, 48) and together.dtype == np.float64
+        for i, relation in enumerate(relations):
+            alone = relation_centroids([relation])[0]
+            assert np.array_equal(together[i], alone)
+            widened = RelationEmbedding(
+                relation.relation_id,
+                relation.values,
+                relation.attr_names,
+                relation.vectors.astype(np.float64),
+                relation.counts,
+            )
+            assert np.array_equal(relation_centroids([widened])[0], alone)
+            weighted = np.average(widened.vectors, axis=0, weights=relation.counts)
+            np.testing.assert_allclose(alone, weighted, atol=1e-15)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_search_is_a_batch_of_one(self, tiny_federation, dtype, shards):
+        queries = ["vaccination europe", "football league", "gdp growth", "covid"]
+        with DiscoveryEngine(dim=48, dtype=dtype, shards=shards, executor="inline") as engine:
+            engine.index(tiny_federation)
+            batch = engine.search_batch(queries, method="exs", k=10, h=-1.0)
+            for query, in_batch in zip(queries, batch):
+                alone = engine.search(query, method="exs", k=10, h=-1.0)
+                assert [(m.relation_id, m.score) for m in alone.matches] == [
+                    (m.relation_id, m.score) for m in in_batch.matches
+                ]
 
 
 class TestKMeans:

@@ -216,6 +216,7 @@ class TestFusedKernelGuards:
         return exs.index(embeddings)
 
     def test_poisoned_matrix_is_caught(self, tiny_federation):
+        """A NaN in the centroid matrix stops the row-wise scan."""
         exs = self._exs(tiny_federation)
         assert exs._matrix is not None
         exs._matrix[0, 0] = np.nan
@@ -223,10 +224,26 @@ class TestFusedKernelGuards:
             exs.search_batch(["vaccine"])
 
     def test_dtype_mismatched_query_block_is_caught(self, tiny_federation):
+        """The float64 centroids would silently absorb a float64 block;
+        the guard holds queries to the engine dtype."""
         exs = self._exs(tiny_federation, dtype=np.float32)
         block = np.ones((1, 64), dtype=np.float64)
         with pytest.raises(SanitizerError, match="dtype"):
-            exs._scan_fused(block)
+            exs._scan(block)
+
+    @pytest.mark.parametrize(
+        "aggregate, promoted",
+        [("max_mean", np.float64), ("mean", np.float32)],
+    )
+    def test_dtype_mismatched_matrix_is_caught(self, tiny_federation, aggregate, promoted):
+        """Both scan layouts keep a dtype check on the matrix itself:
+        the ``max_mean`` value matrix at the engine dtype, the centroid
+        matrix at float64."""
+        exs = self._exs(tiny_federation, dtype=np.float32, aggregate=aggregate)
+        assert exs._matrix is not None
+        exs._matrix = exs._matrix.astype(promoted)
+        with pytest.raises(SanitizerError, match="operand 0 has dtype"):
+            exs.search_batch(["vaccine"])
 
     def test_clean_scan_unaffected(self, tiny_federation):
         exs = self._exs(tiny_federation)

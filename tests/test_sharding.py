@@ -23,7 +23,8 @@ from repro.embedding.semantic import SemanticHashEncoder
 from repro.errors import ConfigurationError
 
 # Engines here use the default float32 storage dtype: ExS scores stay
-# bitwise identical across shard layouts (GEMM rows are independent),
+# bitwise identical across shard layouts (each is one centroid row's
+# row-wise dot product with the query),
 # but ANNS's exact rescore runs one float32 GEMM per candidate set and
 # BLAS picks different kernels for different matrix shapes, so shard-
 # local rescores drift from the unsharded ones by ~1e-9..1e-7.  At

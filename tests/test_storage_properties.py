@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryEngine
+from repro.core.semimg import relation_centroids
 from repro.datamodel.relation import Federation, Relation
-from repro.errors import ConfigurationError
-from repro.storage import live_mapped_paths
+from repro.errors import ConfigurationError, StorageError
+from repro.storage import SegmentWriter, live_mapped_paths, open_snapshot
 
 from tests.test_sharding import (
     QUERIES,
@@ -112,6 +113,42 @@ def test_layout_change_repartitions_identically(tmp_path, saved_shards, loaded_s
         loaded = make_engine(loaded_shards).load_index(tmp_path / "snap", mmap=True)
         with loaded as warm:
             assert_scores_exact(cold, warm, "exs")
+    assert not live_mapped_paths()
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_saved_centroids_are_the_computed_bits(tmp_path, dtype, mmap):
+    """A snapshot carries the ExS centroids, so a load serves them
+    without a pass over every value vector — and they are exactly what
+    that pass would compute, until a delta makes the store recompute."""
+    with make_engine(dtype=dtype).index(federation()) as cold:
+        cold.save_index(tmp_path / "snap")
+    with make_engine(dtype=dtype).load_index(tmp_path / "snap", mmap=mmap) as warm:
+        store = warm.embeddings
+        saved, generation = store.saved_centroids
+        assert generation == store.generation
+        assert np.array_equal(saved, relation_centroids(store.relations))
+        assert warm.method("exs")._matrix is saved
+        warm.update_relations({qualified(2): make_relation(2, version=1)})
+        assert np.array_equal(store.centroids(), relation_centroids(store.relations))
+    assert not live_mapped_paths()
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_misshapen_saved_centroids_are_refused(tmp_path, mmap):
+    with make_engine().index(federation(4)) as cold:
+        cold.save_index(tmp_path / "snap")
+    snapshot = open_snapshot(tmp_path / "snap")
+    writer = SegmentWriter(tmp_path / "snap", generation=snapshot.generation, meta=snapshot.meta)
+    for name in snapshot.segment_names():
+        array = snapshot.array(name)
+        writer.add_array(name, array[:-1] if name == "centroids" else array)
+    writer.add_json("relations", snapshot.json("relations"))
+    writer.commit()
+    with make_engine() as warm:
+        with pytest.raises(StorageError, match="centroids"):
+            warm.load_index(tmp_path / "snap", mmap=mmap)
     assert not live_mapped_paths()
 
 
