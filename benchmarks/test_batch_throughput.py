@@ -3,8 +3,8 @@
 Not a paper artifact — this measures the serving layer the reproduction
 adds on top of the paper's algorithms: ``search_batch`` amortizes query
 encoding, locking and dispatch over one row-wise ExS scan of the whole
-query block, and ``workers=4`` is accepted (an unsharded ExS scan is
-one kernel call, so there is nothing to spread).
+query block, and ``workers=4`` is accepted (an ExS scan is one kernel
+call, so there is nothing to spread).
 
 Run with ``pytest benchmarks/test_batch_throughput.py --benchmark-only``
 for queries/sec numbers; the plain assertion test guards the speedup

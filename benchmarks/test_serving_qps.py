@@ -22,9 +22,9 @@ equal executor width over the same indexed engine:
   the moment it arrives as one ``engine.search`` call.
 
 The acceptance guard asserts micro-batching sustains >= 2x the
-one-at-a-time QPS (skipped below 4 cores, like the sharding bench's
-guard: fewer cores starve the baseline's dispatch pool and the
-comparison stops being about coalescing).  Typical margins are 10-40x
+one-at-a-time QPS (skipped below 4 cores: fewer cores starve the
+baseline's dispatch pool and the comparison stops being about
+coalescing).  Typical margins are 10-40x
 — the coalesced window amortizes the whole scan, while the baseline
 pays a per-relation scoring loop per request — so CI noise cannot
 flip the bound.

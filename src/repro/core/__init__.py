@@ -9,9 +9,6 @@
   UMAP + HDBSCAN + medoid routing + in-cluster ANN.
 * :mod:`repro.core.engine` — :class:`DiscoveryEngine`, the facade that
   indexes a federation once and serves all three methods.
-* :mod:`repro.core.sharding` — deterministic store sharding
-  (:class:`ShardMap`, :class:`ShardedStore`) and scatter-gather method
-  execution behind ``DiscoveryEngine(shards=N)``.
 """
 
 from repro.core.anns import ANNSearch
@@ -20,13 +17,6 @@ from repro.core.engine import DiscoveryEngine
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.lifecycle import FederationDelta, RWLock
 from repro.core.results import BatchResult, RelationMatch, SearchResult, same_ranking
-from repro.core.sharding import (
-    ShardMap,
-    ShardedANNSearch,
-    ShardedSearch,
-    ShardedStore,
-    make_sharded_method,
-)
 from repro.core.semimg import (
     FederationEmbeddings,
     RelationEmbedding,
@@ -48,14 +38,9 @@ __all__ = [
     "RelationEmbedding",
     "RelationMatch",
     "SearchResult",
-    "ShardMap",
-    "ShardedANNSearch",
-    "ShardedSearch",
-    "ShardedStore",
     "build_federation_embeddings",
     "build_relation_embedding",
     "load_federation_embeddings",
-    "make_sharded_method",
     "same_ranking",
     "save_federation_embeddings",
 ]

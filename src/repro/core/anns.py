@@ -38,10 +38,10 @@ class ANNSearch(SearchMethod):
     n_candidates:
         How many nearest value vectors to retrieve per query before
         grouping by relation.  ``None`` (default) scales with the
-        corpus: ``max(256, 3 x n_relations)`` — a fixed budget starves
-        recall on large federations because near-tie candidate sets
-        (e.g. every table of a region sharing entity values) crowd out
-        the deeper evidence.
+        corpus: ``max(256, n_relations // 2)`` (:meth:`candidate_budget`)
+        — a fixed budget starves recall on large federations because
+        near-tie candidate sets (e.g. every table of a region sharing
+        entity values) crowd out the deeper evidence.
     index_kind:
         Vector-database index; the paper's configuration is
         ``"hnsw+pq"``.  ``"hnsw"`` (uncompressed) and ``"exact"`` are
@@ -243,11 +243,11 @@ class ANNSearch(SearchMethod):
             collection.delete(to_delete)
 
     def candidate_budget(self, n_relations: int) -> int:
-        """The retrieval budget for a corpus of ``n_relations``.
+        """The retrieval budget for a corpus of ``n_relations``:
+        ``n_candidates`` when set, else ``max(256, n_relations // 2)``.
 
-        Exposed (rather than folded into :meth:`_score_all`) because a
-        sharded deployment must size every shard's retrieval by the
-        *global* relation count to reproduce unsharded scores.
+        Public so a caller can replay :meth:`retrieve` with the budget a
+        search would use (the perf ledger's ``anns`` probe does).
         """
         if self.n_candidates is not None:
             return self.n_candidates
@@ -258,11 +258,8 @@ class ANNSearch(SearchMethod):
         return self.candidate_budget(self.embeddings.n_relations)
 
     def retrieve(self, query_vector: np.ndarray, budget: int) -> list[ScoredPoint]:
-        """Step 2's retrieval half: the ``budget`` nearest value points.
-
-        Split from :meth:`_score_all` so a scatter-gather layer can
-        merge candidates across shards before relation grouping.
-        """
+        """Step 2's retrieval half: the ``budget`` nearest value points,
+        before any grouping by relation."""
         collection = self.database.get_collection("values")
         with self.metrics.timer(f"{self.name}.scan"):
             return collection.search(query_vector, k=budget, ef=int(1.5 * budget), rescore=True)

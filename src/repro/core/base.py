@@ -6,20 +6,14 @@ import abc
 import time
 import weakref
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
 
 from repro.core.annotations import requires_lock
 from repro.core.results import BatchResult, RelationMatch, SearchResult
 from repro.core.semimg import FederationEmbeddings, RelationEmbedding
-from repro.errors import ExecutionError, NotFittedError
+from repro.errors import NotFittedError
 from repro.exec import ExecutionBackend, resolve_backend
 from repro.obs import MetricsRegistry
 from repro.sanitize import sanitize_enabled
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-    from repro.exec import ShardScanSpec
 
 __all__ = ["SearchMethod", "even_chunks"]
 
@@ -114,9 +108,8 @@ class SearchMethod(abc.ABC):
 
     def close(self) -> None:
         """Release resources this method owns: a self-created backend
-        and (in subclasses) index storage such as shared-memory
-        buffers.  An injected backend is the injector's to close.
-        Idempotent."""
+        and (in subclasses) index storage.  An injected backend is the
+        injector's to close.  Idempotent."""
         owned, self._owned_executor = self._owned_executor, None
         if owned is not None:
             owned.close()
@@ -232,9 +225,9 @@ class SearchMethod(abc.ABC):
 
         ``workers > 1`` chunks the *queries* over the backend: the
         kernels are NumPy-bound and release the GIL inside BLAS, so the
-        default thread backend gives real parallelism without pickling
-        indexes across processes.  (ExhaustiveSearch chunks over
-        *relations* instead — its unit of work is the relation scan.)
+        default thread backend gives real parallelism.
+        (ExhaustiveSearch scans every relation in one kernel call and
+        ignores ``workers``.)
         """
         chunks = even_chunks(len(queries), workers)
         if len(chunks) < 2:
@@ -245,20 +238,6 @@ class SearchMethod(abc.ABC):
             )
             scored = [matches for part in parts for matches in part]
         return [self._finalize(matches, k, h) for matches in scored]
-
-    # -- resident shard scans ----------------------------------------------
-
-    def scan_spec(self) -> "ShardScanSpec | None":
-        """Picklable scan state for a process-backend worker, or
-        ``None`` when this method has no resident-scan path (the
-        sharded scatter-gather then falls back to ``backend.map`` over
-        in-process per-shard scans)."""
-        return None
-
-    def rank_scores(self, scores: "np.ndarray", k: int, h: float) -> list[list[RelationMatch]]:
-        """Rank a worker's raw ``(relations, queries)`` score matrix
-        into per-query top-k matches; pairs with :meth:`scan_spec`."""
-        raise ExecutionError(f"{type(self).__name__} has no resident scan path")
 
     def search_batch(
         self,

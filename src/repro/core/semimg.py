@@ -31,9 +31,8 @@ from repro.datamodel.relation import Federation, Relation
 from repro.embedding.base import SentenceEncoder
 from repro.errors import ConfigurationError, StorageError
 from repro.linalg.distances import normalize_rows
-from repro.linalg.sharedbuf import ArrayBuffer, PlainBuffer
 from repro.obs import MetricsRegistry
-from repro.storage import SegmentSnapshot, SegmentWriter, open_snapshot
+from repro.storage import MappedBuffer, SegmentSnapshot, SegmentWriter, open_snapshot
 from repro.storage import npz as legacy_npz
 
 __all__ = [
@@ -175,20 +174,13 @@ class FederationEmbeddings:
     build_seconds: float = 0.0
     #: Monotonically increasing mutation counter; 0 for a fresh build.
     generation: int = 0
-    #: Whether the store may drain to zero relations.  The global store
-    #: of an engine never may (an empty federation is a configuration
-    #: error), but the per-shard partitions of a
-    #: :class:`~repro.core.sharding.ShardedStore` can legitimately own
-    #: no relations when a delta retires a shard's last one.
+    #: Whether the store may drain to zero relations.  An engine's store
+    #: never may (an empty federation is a configuration error), but one
+    #: ``shard-<i>/`` directory of a sharded snapshot can hold none.
     allow_empty: bool = False
-    #: Zero-copy backing of the stacked value matrix, when the store was
-    #: materialized from a snapshot: ``(buffer, generation-at-adoption)``.
-    #: Valid only while :attr:`generation` still equals the adoption
-    #: generation — any delta re-stacks, so consumers must go through
-    #: :meth:`stack_buffer`, which returns ``None`` once stale.
-    stack_backing: "tuple[ArrayBuffer, int] | None" = field(
-        default=None, repr=False, compare=False
-    )
+    #: The mapped snapshot files the relation vectors view (``mmap``
+    #: loads only), held so :meth:`release_backing` can close them.
+    backings: "tuple[MappedBuffer, ...]" = field(default=(), repr=False, compare=False)
     #: :func:`relation_centroids` of every relation as read from the
     #: snapshot, with the generation it reflects: ``(matrix, generation)``.
     saved_centroids: "tuple[np.ndarray, int] | None" = field(
@@ -313,30 +305,12 @@ class FederationEmbeddings:
         )
         return matrix, owner
 
-    # -- snapshot backing ------------------------------------------------
-
-    def adopt_backing(self, buffer: ArrayBuffer) -> None:
-        """Take ownership of the snapshot buffer the relation vectors
-        view (the store's reference; consumers :meth:`~repro.linalg.
-        ArrayBuffer.addref` their own)."""
-        self.release_backing()
-        self.stack_backing = (buffer, self.generation)
-
-    def stack_buffer(self) -> "ArrayBuffer | None":
-        """The stacked-matrix backing, while it still reflects this
-        store's generation; ``None`` once any delta invalidated it."""
-        if self.stack_backing is None:
-            return None
-        buffer, adopted_at = self.stack_backing
-        return buffer if adopted_at == self.generation else None
-
     def release_backing(self) -> None:
-        """Drop the store's reference to its snapshot backing.  The
-        underlying pages survive as long as any relation vectors or
-        scan-method views still reference them."""
-        backing, self.stack_backing = self.stack_backing, None
-        if backing is not None:
-            backing[0].close()
+        """Close the mapped snapshot files this store holds.  The pages
+        survive as long as any relation vectors still view them."""
+        backings, self.backings = self.backings, ()
+        for backing in backings:
+            backing.close()
 
 
 #: ``meta["kind"]`` tag of a federation-embeddings snapshot.
@@ -364,7 +338,7 @@ def save_federation_embeddings(
     scans (so a load need not touch every value vector to serve it),
     and a ``relations`` JSON document with ids, cell values and
     attribute names.  The stacked layout is what makes ``mmap=True``
-    loads zero-copy: the mapped file *is* the ``max_mean`` scan matrix.
+    loads zero-copy: every relation's vectors view the mapped file.
     """
     target = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
     relations = embeddings.relations
@@ -455,11 +429,9 @@ def _load_snapshot(
     centroids = (
         snapshot.array("centroids") if "centroids" in snapshot.segment_names() else None
     )
-    backing: ArrayBuffer = (
-        snapshot.mapped("vectors") if mmap else PlainBuffer(snapshot.array("vectors"))
-    )
+    backing = snapshot.mapped("vectors") if mmap else None
     try:
-        matrix = backing.array
+        matrix = backing.array if backing is not None else snapshot.array("vectors")
         relations: list[RelationEmbedding] = []
         start = 0
         for i, relation_id in enumerate(doc["ids"]):
@@ -486,14 +458,14 @@ def _load_snapshot(
             generation=snapshot.generation,
             allow_empty=allow_empty,
             saved_centroids=None if centroids is None else (centroids, snapshot.generation),
+            backings=() if backing is None else (backing,),
         )
     except BaseException:
         # A malformed document must not strand the mapped pages: until
-        # adopt_backing() the store owns no reference and nobody else
-        # would ever close this buffer.
-        backing.close()
+        # the store holds it, nobody else would ever close this buffer.
+        if backing is not None:
+            backing.close()
         raise
-    embeddings.adopt_backing(backing)
     return embeddings
 
 

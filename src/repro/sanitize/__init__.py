@@ -16,8 +16,7 @@ runtime checks that complement the static rules in
 
 ``REPRO_SANITIZE=2`` additionally arms the Eraser-style lockset race
 detector in :mod:`repro.sanitize.lockset`: instrumented shared-state
-accesses (the engine's swap fields, cache stores, shard maps, metrics
-internals) intersect the set of locks each thread holds, and a field
+accesses (the engine's swap fields, cache stores, metrics internals) intersect the set of locks each thread holds, and a field
 whose candidate lockset goes empty across threads raises
 :class:`~repro.errors.SanitizerError` at the racing access.  Level 2 is
 a strict superset of level 1.

@@ -16,8 +16,7 @@ Two deliberately weaker per-field policies cover the repo's lock-free
 designs, where strict Eraser would report by-design behaviour:
 
 * ``"publish"`` — readers are lock-free on purpose (the engine's
-  ``_embeddings``/``_sharded`` swap fields, the cache's generation
-  map); only *writes* are checked, and must hold some exclusive lock
+  ``_embeddings`` swap field, the cache's generation map); only *writes* are checked, and must hold some exclusive lock
   once the field is shared across threads.
 * ``"anylock"`` — writes may run under the shared (reader) side (the
   cache's ``insert`` contract is "call with the engine's reader lock

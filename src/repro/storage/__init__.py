@@ -5,9 +5,8 @@ checksummed, atomically-committed **segment snapshot** format
 (:mod:`repro.storage.segment`), a memory-mapped read path
 (:mod:`repro.storage.mapped`) that makes cold starts O(1) in index
 size, and the quarantined legacy ``.npz`` adapter
-(:mod:`repro.storage.npz`).  Federation embeddings, the vector
-database and the engine's sharded index snapshots all persist through
-this package — the RL006 lint rule bans raw ``np.save``/``np.load``/
+(:mod:`repro.storage.npz`).  Federation embeddings and the vector
+database both persist through this package — the RL006 lint rule bans raw ``np.save``/``np.load``/
 ``np.memmap`` everywhere else.
 """
 

@@ -60,7 +60,7 @@ class TestEmbeddingPersistence:
         assert not mismatched.is_indexed
 
     def test_sharded_engine_reload_matches_unsharded(self, engine, tmp_path):
-        """A persisted store re-partitions deterministically on load."""
+        """``shards=`` on the loading engine changes no answer."""
         path = tmp_path / "sharded.npz"
         engine.save_index(path)
         restored = DiscoveryEngine(dim=96, shards=3).load_index(path)

@@ -1,11 +1,10 @@
-"""Sharded store + scatter-gather execution (``DiscoveryEngine(shards=N)``).
+"""``DiscoveryEngine(shards=N)`` is accepted and changes nothing.
 
-The load-bearing invariant: for ExS and exact-index ANNS, a sharded
-engine ranks exactly what the unsharded engine ranks — same relation
-order, same scores to within float tolerance — for fresh indexes AND
-after any sequence of add/update/remove deltas.  CTS makes no such
-promise (it clusters per shard); its sharded path only has to answer
-sensibly.
+Every method answers from one index over the whole federation, so an
+engine built with any ``shards`` ranks exactly what ``shards=1`` ranks
+— same relation order, same score bits — for fresh indexes AND after
+any sequence of add/update/remove deltas.  The helpers here are shared
+by the other engine-equivalence suites.
 """
 
 from __future__ import annotations
@@ -14,22 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DiscoveryEngine, ShardMap, ShardedStore
-from repro.core.semimg import FederationEmbeddings, build_relation_embedding
-from repro.core.sharding import ShardedANNSearch, make_sharded_method
+from repro.core import DiscoveryEngine
 from repro.datamodel.relation import Federation, Relation
-from repro.embedding.cache import CachingEncoder
-from repro.embedding.semantic import SemanticHashEncoder
 from repro.errors import ConfigurationError
 
-# Engines here use the default float32 storage dtype: ExS scores stay
-# bitwise identical across shard layouts (each is one centroid row's
-# row-wise dot product with the query),
-# but ANNS's exact rescore runs one float32 GEMM per candidate set and
-# BLAS picks different kernels for different matrix shapes, so shard-
-# local rescores drift from the unsharded ones by ~1e-9..1e-7.  At
-# float64 (dtype=numpy.float64) the old 1e-9 bound holds — pinned by
-# the fused-kernel property tests.
+# Tolerance for comparisons between engines whose ANNS scans may run
+# on differently shaped blocks: the exact rescore is one float32 GEMM
+# per candidate set, and BLAS picks different kernels for different
+# matrix shapes, so such scores drift by ~1e-9..1e-7.
 SCORE_TOL = 2e-5
 
 TOPICS = [
@@ -69,8 +60,7 @@ def make_engine(shards: int = 1) -> DiscoveryEngine:
         dim=48,
         method_params={
             # Exact index + exhaustive budget: ANNS candidate sets are
-            # then deterministic, so sharded == unsharded is testable
-            # bit-for-bit.  HNSW stays approximate per shard.
+            # then deterministic, so answers are comparable bit for bit.
             "anns": {"index_kind": "exact", "n_candidates": 10_000},
         },
         shards=shards,
@@ -92,117 +82,21 @@ def assert_same_rankings(a: DiscoveryEngine, b: DiscoveryEngine, method: str) ->
             assert ma.score == pytest.approx(mb.score, abs=SCORE_TOL)
 
 
-# -- ShardMap -------------------------------------------------------------
-
-
-class TestShardMap:
-    def test_deterministic_across_instances(self):
-        ids = [f"ds{i}/rel{i}" for i in range(50)]
-        a = ShardMap(4, seed=7)
-        b = ShardMap(4, seed=7)
-        assert [a.shard_of(r) for r in ids] == [b.shard_of(r) for r in ids]
-
-    def test_seed_changes_placement(self):
-        ids = [f"ds{i}/rel{i}" for i in range(200)]
-        a = ShardMap(4, seed=0)
-        b = ShardMap(4, seed=1)
-        assert [a.shard_of(r) for r in ids] != [b.shard_of(r) for r in ids]
-
-    def test_all_shards_in_range_and_used(self):
-        shard_map = ShardMap(4)
-        shards = {shard_map.shard_of(f"ds{i}/rel{i}") for i in range(200)}
-        assert shards == {0, 1, 2, 3}
-
-    def test_rendezvous_stability_under_growth(self):
-        """Adding a shard only moves relations ONTO the new shard."""
-        ids = [f"ds{i}/rel{i}" for i in range(300)]
-        before = ShardMap(4)
-        after = ShardMap(5)
-        moved = 0
-        for relation_id in ids:
-            old, new = before.shard_of(relation_id), after.shard_of(relation_id)
-            if old != new:
-                assert new == 4, f"{relation_id} moved between surviving shards"
-                moved += 1
-        assert 0 < moved < len(ids)
-
-    def test_partition_groups_and_preserves_order(self):
-        shard_map = ShardMap(3)
-        ids = [f"ds{i}/rel{i}" for i in range(30)]
-        parts = shard_map.partition(ids)
-        assert sorted(x for part in parts for x in part) == sorted(ids)
-        for shard, part in enumerate(parts):
-            assert all(shard_map.shard_of(r) == shard for r in part)
-            assert part == [r for r in ids if shard_map.shard_of(r) == shard]
-
-    def test_single_shard_owns_everything(self):
-        shard_map = ShardMap(1)
-        assert {shard_map.shard_of(f"r{i}") for i in range(20)} == {0}
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ConfigurationError):
-            ShardMap(0)
-
-
-# -- ShardedStore ---------------------------------------------------------
-
-
-def build_store(slots) -> FederationEmbeddings:
-    encoder = CachingEncoder(SemanticHashEncoder(dim=48))
-    relations = [
-        build_relation_embedding(qualified(s), make_relation(s), encoder)
-        for s in slots
-    ]
-    return FederationEmbeddings(relations=relations, encoder=encoder)
-
-
-class TestShardedStore:
-    def test_partition_covers_store_without_copying(self):
-        store = build_store(range(8))
-        sharded = ShardedStore(store, ShardMap(3))
-        assert sum(sharded.shard_sizes()) == store.n_relations
-        by_id = {r.relation_id: r for r in store.relations}
-        for shard in sharded.shards:
-            for relation in shard.relations:
-                # Shared objects, not re-embedded copies.
-                assert relation is by_id[relation.relation_id]
-
-    def test_route_touches_owning_shards_only(self):
-        store = build_store(range(8))
-        sharded = ShardedStore(store, ShardMap(4))
-        embedding = build_relation_embedding(
-            qualified(9), make_relation(9), store.encoder
-        )
-        routed = sharded.route([embedding], [], [qualified(3)])
-        owner_new = sharded.shard_map.shard_of(qualified(9))
-        owner_old = sharded.shard_map.shard_of(qualified(3))
-        assert set(routed) == {owner_new, owner_old}
-        assert routed[owner_new][0] == [embedding]
-        assert routed[owner_old][2] == [qualified(3)]
-
-    def test_apply_delta_mutates_owning_shard_stores(self):
-        store = build_store(range(6))
-        sharded = ShardedStore(store, ShardMap(3))
-        embedding = build_relation_embedding(
-            qualified(7), make_relation(7), store.encoder
-        )
-        sharded.apply_delta([embedding], [], [qualified(1)])
-        owner = sharded.shard_map.shard_of(qualified(7))
-        assert qualified(7) in sharded.shards[owner]
-        gone = sharded.shard_map.shard_of(qualified(1))
-        assert qualified(1) not in sharded.shards[gone]
-        assert sum(sharded.shard_sizes()) == 6
-
-    def test_shard_store_may_drain_empty(self):
-        store = build_store(range(3))
-        sharded = ShardedStore(store, ShardMap(5))
-        # Some shard owns exactly one relation; removing it must not raise.
-        sizes = sharded.shard_sizes()
-        assert 0 in sizes  # 3 relations over 5 shards leaves empties
-        for shard in sharded.shards:
-            for relation in list(shard.relations):
-                shard.remove_relation(relation.relation_id)
-            assert shard.n_relations == 0
+def assert_identical(a: DiscoveryEngine, b: DiscoveryEngine, method: str) -> None:
+    """Same ``(relation_id, score)`` lists, bit for bit, per query and
+    per batch."""
+    for query in QUERIES:
+        ra = a.search(query, method=method, k=100, h=-1.0)
+        rb = b.search(query, method=method, k=100, h=-1.0)
+        assert [(m.relation_id, m.score) for m in ra.matches] == [
+            (m.relation_id, m.score) for m in rb.matches
+        ], f"{method} answer diverged for {query!r}"
+    batch_a = a.search_batch(QUERIES, method=method, k=100, h=-1.0)
+    batch_b = b.search_batch(QUERIES, method=method, k=100, h=-1.0)
+    for ra, rb in zip(batch_a, batch_b):
+        assert [(m.relation_id, m.score) for m in ra.matches] == [
+            (m.relation_id, m.score) for m in rb.matches
+        ]
 
 
 # -- engine-level equivalence ---------------------------------------------
@@ -210,12 +104,14 @@ class TestShardedStore:
 
 class TestShardedEngineEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 5])
-    @pytest.mark.parametrize("method", ["exs", "anns"])
+    @pytest.mark.parametrize("method", ["exs", "anns", "cts"])
     def test_fresh_index_matches_unsharded(self, shards, method):
+        """``shards=`` leaves the plan alone: bit-identical answers for
+        ExS, exact-index ANNS and CTS (which once clustered per shard)."""
         fed = federation(range(8))
         base = make_engine().index(fed)
         sharded = make_engine(shards=shards).index(fed)
-        assert_same_rankings(base, sharded, method)
+        assert_identical(base, sharded, method)
 
     @pytest.mark.parametrize("method", ["exs", "anns"])
     def test_batch_matches_unsharded_and_workers_agree(self, method):
@@ -234,8 +130,8 @@ class TestShardedEngineEquivalence:
                 assert mp.score == pytest.approx(mw.score, abs=SCORE_TOL)
 
     def test_default_budget_truncation_matches(self):
-        """With the auto budget (256 for small corpora) the distributed
-        top-k re-cut across shards must still equal the unsharded cut."""
+        """With the auto budget (256 for small corpora) a ``shards=4``
+        engine cuts the candidates exactly where ``shards=1`` does."""
         fed = federation(range(40))
         params = {"anns": {"index_kind": "exact"}}  # auto budget
         base = DiscoveryEngine(dim=48, method_params=params).index(fed)
@@ -270,7 +166,7 @@ class TestShardedEngineEquivalence:
             DiscoveryEngine(dim=48, shards=0)
 
 
-# -- hypothesis: sharded delta sequences == unsharded ---------------------
+# -- hypothesis: delta sequences under shards=N == shards=1 ---------------
 
 
 op_steps = st.lists(
@@ -316,11 +212,11 @@ def test_sharded_delta_sequences_match_unsharded(steps, shards):
             for engine in (base, sharded):
                 engine.remove_relations([qualified(slot)])
 
-    assert_same_rankings(base, sharded, "exs")
-    assert_same_rankings(base, sharded, "anns")
+    assert_identical(base, sharded, "exs")
+    assert_identical(base, sharded, "anns")
 
 
-# -- empty shards and shard lifecycle -------------------------------------
+# -- more shards than relations -------------------------------------------
 
 
 class TestEmptyShards:
@@ -328,8 +224,8 @@ class TestEmptyShards:
         fed = federation(range(3))
         base = make_engine().index(fed)
         sharded = make_engine(shards=5).index(fed)
-        assert_same_rankings(base, sharded, "exs")
-        assert_same_rankings(base, sharded, "anns")
+        assert_identical(base, sharded, "exs")
+        assert_identical(base, sharded, "anns")
 
     def test_delta_drains_and_repopulates_a_shard(self):
         base = make_engine().index(federation(range(3)))
@@ -337,88 +233,11 @@ class TestEmptyShards:
         for engine in (base, sharded):
             engine.method("exs")
             engine.method("anns")
-        # Retire one relation (its shard may drain), then bring in new
-        # ones (some land on previously empty shards).
+        # Retire one relation, then bring in new ones.
         for engine in (base, sharded):
             engine.remove_relations([qualified(1)])
             engine.add_relations(
                 {qualified(5): make_relation(5), qualified(6): make_relation(6)}
             )
-        assert_same_rankings(base, sharded, "exs")
-        assert_same_rankings(base, sharded, "anns")
-
-    def test_drained_shard_drops_its_method(self):
-        sharded = make_engine(shards=5).index(federation(range(3)))
-        method = sharded.method("exs")
-        live_before = sum(m is not None for m in method.shard_methods)
-        # Remove relations until one shard has nothing left.
-        sharded.remove_relations([qualified(1), qualified(2)])
-        live_after = sum(m is not None for m in method.shard_methods)
-        assert live_after <= live_before
-        assert sum(sharded._sharded.shard_sizes()) == 1
-
-
-# -- observability --------------------------------------------------------
-
-
-class TestShardObservability:
-    def test_per_shard_stage_timers_and_merge(self):
-        sharded = make_engine(shards=3).index(federation(range(8)))
-        sharded.search("vaccine booster trial", method="exs", k=5, h=-1.0)
-        snap = sharded.metrics.snapshot()
-        shard_scans = [
-            name
-            for name in snap["stages"]
-            if name.startswith("exs.shard") and name.endswith(".scan")
-        ]
-        assert shard_scans, f"no per-shard scan timers in {sorted(snap['stages'])}"
-        assert "exs.merge" in snap["stages"]
-        assert snap["stages"]["exs.merge"]["count"] >= 1
-
-    def test_shard_size_gauges_track_deltas(self):
-        sharded = make_engine(shards=3).index(federation(range(8)))
-        snap = sharded.metrics.snapshot()
-        sizes = {
-            name: value
-            for name, value in snap["gauges"].items()
-            if name.startswith("engine.shard_sizes.")
-        }
-        assert len(sizes) == 3
-        assert sum(sizes.values()) == 8
-        sharded.method("exs")
-        sharded.remove_relations([qualified(0)])
-        snap = sharded.metrics.snapshot()
-        sizes = {
-            name: value
-            for name, value in snap["gauges"].items()
-            if name.startswith("engine.shard_sizes.")
-        }
-        assert sum(sizes.values()) == 7
-
-
-# -- construction guards --------------------------------------------------
-
-
-class TestShardedMethodConstruction:
-    def test_factory_dispatch(self):
-        store = build_store(range(6))
-        sharded_store = ShardedStore(store, ShardMap(2))
-        from repro.core.anns import ANNSearch
-        from repro.core.exhaustive import ExhaustiveSearch
-
-        anns = make_sharded_method(
-            lambda: ANNSearch(index_kind="exact"), sharded_store
-        )
-        assert isinstance(anns, ShardedANNSearch)
-        exs = make_sharded_method(ExhaustiveSearch, sharded_store)
-        assert not isinstance(exs, ShardedANNSearch)
-        assert exs.name == "exs"
-        assert anns.name == "anns"
-
-    def test_sharded_anns_requires_anns_factory(self):
-        store = build_store(range(4))
-        sharded_store = ShardedStore(store, ShardMap(2))
-        from repro.core.exhaustive import ExhaustiveSearch
-
-        with pytest.raises(ConfigurationError):
-            ShardedANNSearch(ExhaustiveSearch, sharded_store)
+        assert_identical(base, sharded, "exs")
+        assert_identical(base, sharded, "anns")

@@ -4,9 +4,10 @@ The storage layer's contract is that *how* an index got into memory —
 cold ``index()`` build, eager snapshot load, or ``mmap=True`` mapped
 load — is undetectable in search results: rankings identical, scores
 exact (the snapshot stores the engine's scan dtype, so the mapped bytes
-ARE the cold-build bytes).  That must hold across methods, shard
-counts, both scan dtypes, and across lifecycle deltas applied after a
-load.
+ARE the cold-build bytes).  That must hold across methods, ``shards=``
+values, both scan dtypes, across lifecycle deltas applied after a load,
+and for the sharded layout (``shard-<i>/`` sub-snapshots under a root
+manifest) that engines built with ``shards > 1`` used to save.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryEngine
-from repro.core.semimg import relation_centroids
+from repro.core.engine import SHARDED_SNAPSHOT_KIND
+from repro.core.semimg import (
+    FederationEmbeddings,
+    relation_centroids,
+    save_federation_embeddings,
+)
 from repro.datamodel.relation import Federation, Relation
 from repro.errors import ConfigurationError, StorageError
 from repro.storage import SegmentWriter, live_mapped_paths, open_snapshot
@@ -40,6 +46,46 @@ def make_engine(shards: int = 1, dtype: type = np.float32) -> DiscoveryEngine:
         dtype=dtype,
         executor="inline",
     )
+
+
+def save_sharded_snapshot(
+    store: FederationEmbeddings,
+    path,
+    shards: int,
+    dtype: type = np.float32,
+    generations: "list[int] | None" = None,
+) -> None:
+    """Write ``store`` in the sharded layout: relation ``i`` in
+    ``shard-<i % shards>/`` (a federation-embeddings snapshot at its own
+    generation), then the root manifest carrying the relation order and
+    the generation it expects of each shard (``generations``; the true
+    ones by default)."""
+    parts = [
+        FederationEmbeddings(
+            relations=store.relations[shard::shards],
+            encoder=store.encoder,
+            generation=10 + shard,
+            allow_empty=True,
+        )
+        for shard in range(shards)
+    ]
+    for shard, part in enumerate(parts):
+        save_federation_embeddings(part, path / f"shard-{shard}", dtype=dtype)
+    SegmentWriter(
+        path,
+        generation=store.generation,
+        meta={
+            "kind": SHARDED_SNAPSHOT_KIND,
+            "dim": store.dim,
+            "dtype": np.dtype(dtype).name,
+            "sharded": {
+                "shards": shards,
+                "seed": 0,
+                "relation_order": store.relation_ids(),
+                "shard_generations": generations or [part.generation for part in parts],
+            },
+        },
+    ).commit()
 
 
 def assert_scores_exact(a: DiscoveryEngine, b: DiscoveryEngine, method: str) -> None:
@@ -104,15 +150,50 @@ def test_deltas_after_load_match_deltas_after_build(tmp_path, shards, mmap):
 
 @pytest.mark.parametrize("saved_shards,loaded_shards", [(5, 2), (2, 1), (1, 3)])
 def test_layout_change_repartitions_identically(tmp_path, saved_shards, loaded_shards):
-    """Loading under a different shard count re-partitions the mapped
-    relations deterministically — rankings unchanged, and the orphaned
-    per-shard buffer handles are released."""
+    """A snapshot saved in any shard layout loads under any ``shards=``
+    with the cold build's exact scores, and ``close()`` unmaps every
+    shard file."""
     fed = federation()
-    with make_engine(saved_shards).index(fed) as cold:
-        cold.save_index(tmp_path / "snap")
+    with make_engine().index(fed) as cold:
+        if saved_shards > 1:
+            save_sharded_snapshot(cold.embeddings, tmp_path / "snap", saved_shards)
+        else:
+            cold.save_index(tmp_path / "snap")
         loaded = make_engine(loaded_shards).load_index(tmp_path / "snap", mmap=True)
         with loaded as warm:
             assert_scores_exact(cold, warm, "exs")
+    assert not live_mapped_paths()
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_sharded_snapshot_loads_like_a_cold_build(tmp_path, mmap):
+    """One store from every ``shard-<i>/``, in the root's relation
+    order and at the root's generation, answering ExS with the cold
+    build's bits; a mapped load holds every shard file until close."""
+    fed = federation()
+    with make_engine().index(fed) as cold:
+        cold.update_relations({qualified(2): make_relation(2, version=1)})
+        save_sharded_snapshot(cold.embeddings, tmp_path / "snap", shards=3)
+        with make_engine().load_index(tmp_path / "snap", mmap=mmap) as warm:
+            assert warm.embeddings.relation_ids() == cold.embeddings.relation_ids()
+            assert warm.embeddings.generation == cold.embeddings.generation
+            assert len(live_mapped_paths()) == (3 if mmap else 0)
+            assert_scores_exact(cold, warm, "exs")
+    assert not live_mapped_paths()
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_torn_sharded_snapshot_is_refused(tmp_path, mmap):
+    """A shard at another generation than the root recorded is a torn
+    multi-shard save: refused, with nothing left mapped."""
+    with make_engine().index(federation()) as cold:
+        save_sharded_snapshot(
+            cold.embeddings, tmp_path / "snap", shards=3, generations=[10, 99, 12]
+        )
+    with make_engine() as warm:
+        with pytest.raises(StorageError, match="shard-1 .* generation 11, root manifest expects 99"):
+            warm.load_index(tmp_path / "snap", mmap=mmap)
+        assert not warm.is_indexed
     assert not live_mapped_paths()
 
 
@@ -167,8 +248,10 @@ class TestDtypeMismatch:
             assert not mismatched.is_indexed
 
     def test_sharded_snapshot_checked_at_the_root(self, tmp_path):
-        with make_engine(shards=3, dtype=np.float64).index(federation(6)) as engine:
-            engine.save_index(tmp_path / "snap")
+        with make_engine(dtype=np.float64).index(federation(6)) as engine:
+            save_sharded_snapshot(
+                engine.embeddings, tmp_path / "snap", shards=3, dtype=np.float64
+            )
         with make_engine(shards=3, dtype=np.float32) as mismatched:
             with pytest.raises(ConfigurationError) as excinfo:
                 mismatched.load_index(tmp_path / "snap", mmap=True)
