@@ -14,9 +14,9 @@ relations:
   scan matrix is *adopted* zero-copy, never re-stacked.
 
 The guard asserts the mmap path's time-to-first-query is >= 5x faster
-than npz-eager at this size; ``BENCH_cold_start.json`` records the
-trajectory.  Run with ``pytest benchmarks/test_cold_start.py -q -s``
-for the measured numbers.
+than npz-eager at this size.  Run with
+``pytest benchmarks/test_cold_start.py -q -s`` for the measured
+numbers.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from repro.core.semimg import save_federation_embeddings_npz
 from repro.datamodel.relation import Federation, Relation
 from repro.embedding.cache import CachingEncoder
 from repro.embedding.semantic import SemanticHashEncoder
-
-from _trajectory import record
 
 N_RELATIONS = 600
 DIM = 64
@@ -98,17 +96,6 @@ def test_cold_start_trajectory(snapshots):
         f"\n  segment-mmap   {seg_mmap * 1e3:8.2f} ms"
         f"\n  mmap speedup over npz: {npz_eager / seg_mmap:.1f}x"
     )
-    record(
-        "cold_start",
-        {
-            "n_relations": N_RELATIONS,
-            "dim": DIM,
-            "npz_eager_ms": round(npz_eager * 1e3, 3),
-            "segment_eager_ms": round(seg_eager * 1e3, 3),
-            "segment_mmap_ms": round(seg_mmap * 1e3, 3),
-            "mmap_speedup_vs_npz": round(npz_eager / seg_mmap, 2),
-        },
-    )
     # The guard the ISSUE sets: mapping raw committed bytes must beat
     # inflating a compressed archive and re-stacking by a wide margin.
     assert seg_mmap * 5 <= npz_eager, (
@@ -138,10 +125,6 @@ def test_mapped_load_is_lazy(snapshots):
     mapped = best_of(lambda: load_only(True))
     print(
         f"\nload only: eager {eager * 1e3:.2f} ms, mapped {mapped * 1e3:.2f} ms"
-    )
-    record(
-        "cold_start",
-        {"load_only_eager_ms": round(eager * 1e3, 3), "load_only_mmap_ms": round(mapped * 1e3, 3)},
     )
     assert mapped <= eager * 3 + 0.05, (
         "mapped load should not materialize data: expected the same order "

@@ -4,8 +4,8 @@ Discovery traffic is head-heavy — a handful of popular queries (and
 near-duplicate paraphrases of them) dominate arrivals.  This bench
 drives the async serving front end with a Zipf(s=1.1) workload over the
 same engine twice — once uncached, once behind a warm
-:class:`~repro.cache.SemanticResultCache` — and publishes the headline
-numbers to ``BENCH_query_cache.json`` via ``_trajectory.record``:
+:class:`~repro.cache.SemanticResultCache` — and prints the headline
+numbers:
 
 * **warm-cache speedup** — sustained QPS at equal offered load, equal
   window shape.  The acceptance guard asserts the warm cache carries
@@ -32,8 +32,6 @@ from repro.core.engine import DiscoveryEngine
 from repro.datamodel.relation import Federation, Relation
 from repro.embedding.cache import CachingEncoder
 from repro.embedding.semantic import SemanticHashEncoder
-
-from _trajectory import record
 
 N_RELATIONS = 60
 ROWS_PER_RELATION = 150
@@ -131,17 +129,6 @@ def test_warm_cache_zipfian_speedup(cache_fed):
     snap = cached.metrics.snapshot()["counters"]
     hits = snap.get("serving.cache_hits", 0)
     speedup = cached_qps / max(uncached_qps, 1e-9)
-    record(
-        "query_cache",
-        {
-            "zipf_s": ZIPF_S,
-            "offered": N_REQUESTS,
-            "uncached_qps": uncached_qps,
-            "warm_qps": cached_qps,
-            "warm_speedup": speedup,
-            "warm_serving_cache_hits": hits,
-        },
-    )
     print(
         f"\nquery cache zipf(s={ZIPF_S}) x {N_REQUESTS}: "
         f"uncached {uncached_qps:.0f} q/s, warm {cached_qps:.0f} q/s "
@@ -180,14 +167,6 @@ def test_hit_rates_across_tau(cache_fed):
             f"miss {misses / total:.1%}"
         )
 
-    record(
-        "query_cache",
-        {
-            f"tau_{tau}_{kind}": value
-            for tau, rates in sweep.items()
-            for kind, value in rates.items()
-        },
-    )
     # The probe only adds recall: served traffic (exact + near) grows
     # monotonically as tau loosens.  (Exact rates alone shift with tau:
     # a near hit is served, not re-inserted, so at tau < 1 paraphrase

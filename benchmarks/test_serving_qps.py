@@ -1,8 +1,7 @@
 """Serving bench: sustained QPS and p99 under concurrent traffic.
 
 Two synthetic load shapes drive the async front end over the same
-engine and publish the repo's first CI-tracked perf trajectory
-(``BENCH_serving.json``, via ``_trajectory.record``):
+engine and print sustained QPS and latency percentiles:
 
 * **closed loop** — N clients, each submitting its next query only
   after its previous answer arrives: sustained throughput at bounded
@@ -44,8 +43,6 @@ from repro.core.results import SearchResult
 from repro.datamodel.relation import Federation, Relation
 from repro.embedding.cache import CachingEncoder
 from repro.embedding.semantic import SemanticHashEncoder
-
-from _trajectory import record
 
 #: Few-but-large relations: the paper's workload shape (relations carry
 #: many cell values), where the scan dominates and coalescing pays.
@@ -174,16 +171,6 @@ def test_closed_loop_sustained_qps(serving_fed):
     assert fill_mean > 1.0, "closed-loop windows never coalesced"
     qps = len(latencies) / max(elapsed, 1e-9)
     p50, p99 = pctile(latencies, 50), pctile(latencies, 99)
-    record(
-        "serving",
-        {
-            "closed_clients": 16,
-            "closed_qps": qps,
-            "closed_p50_ms": p50,
-            "closed_p99_ms": p99,
-            "closed_batch_fill_mean": fill_mean,
-        },
-    )
     print(
         f"\nserving closed loop: 16 clients x 16 reqs -> {qps:.0f} q/s, "
         f"p50 {p50:.2f} ms, p99 {p99:.2f} ms, mean fill {fill_mean:.1f}"
@@ -229,18 +216,6 @@ def test_open_loop_microbatching_speedup(serving_fed):
     }
 
     speedup = results["batched"]["qps"] / max(results["singleton"]["qps"], 1e-9)
-    record(
-        "serving",
-        {
-            "open_offered": N_REQUESTS,
-            "open_qps": results["batched"]["qps"],
-            "open_p99_ms": results["batched"]["p99_ms"],
-            "open_batch_fill_mean": results["batched"]["fill"],
-            "open_singleton_qps": results["singleton"]["qps"],
-            "open_singleton_p99_ms": results["singleton"]["p99_ms"],
-            "open_speedup": speedup,
-        },
-    )
     print(
         f"\nserving open loop ({N_REQUESTS} offered): "
         f"batched {results['batched']['qps']:.0f} q/s "

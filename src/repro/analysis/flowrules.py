@@ -140,6 +140,7 @@ _BLOCKING_ATTR_CALLS = frozenset(
         "read_lock",
         "map",
         "cosine_similarity",
+        "rowwise_scores",
         "segment_scores",
         "adc_scores_batch",
         "search",
@@ -157,6 +158,7 @@ _BLOCKING_WITH_ITEMS = frozenset({"read", "write", "read_lock"})
 _BLOCKING_BARE_CALLS = frozenset(
     {
         "cosine_similarity",
+        "rowwise_scores",
         "segment_scores",
         "adc_scores_batch",
         "open_snapshot",

@@ -93,12 +93,11 @@ class DiscoveryEngine:
         Per-method constructor overrides, e.g.
         ``{"cts": {"top_clusters": 3}, "anns": {"n_candidates": 64}}``.
     dtype:
-        Storage/compute dtype for the scan methods (ExS query
-        quantisation and ``max_mean`` value matrix, ANNS values
-        collection).  The default float32 matches the encoder's native
-        precision, halving resident index memory and scan bandwidth;
-        pass ``numpy.float64`` for the historical upcast-everything
-        compat mode.  ExS ``mean`` centroids and CTS's
+        The precision ExS quantises queries to and the storage dtype of
+        the ANNS values collection, and nothing else.  The default
+        float32 matches the encoder's native precision and halves the
+        collection's memory; pass ``numpy.float64`` for the historical
+        upcast-everything compat mode.  ExS centroids and CTS's
         reduction/clustering pipeline stay float64 in both modes.
         Per-method ``method_params`` overrides win over this knob.
     shards:
@@ -380,13 +379,7 @@ class DiscoveryEngine:
     def _make_method(self, name: str) -> SearchMethod:
         params = self.method_params.get(name, {})
         if name == "exs":
-            # On a process backend a max_mean value matrix goes into a
-            # shared-memory segment; ExS still scans it in this process.
-            defaults: dict[str, Any] = {
-                "dtype": self.dtype,
-                "shared_buffers": self._executor.wants_shared_buffers,
-            }
-            return ExhaustiveSearch(**{**defaults, **params})
+            return ExhaustiveSearch(**{"dtype": self.dtype, **params})
         if name == "anns":
             return ANNSearch(**{"dtype": self.dtype, **params})
         if name == "cts":

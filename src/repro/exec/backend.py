@@ -102,9 +102,6 @@ class ExecutionBackend(ABC):
     name = "backend"
     #: Whether publish/drop/scan_shards route to worker processes.
     supports_shard_scans = False
-    #: Whether index owners should place scan state in SharedBuffers
-    #: (worth the copy only when workers will map them).
-    wants_shared_buffers = False
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -376,7 +373,6 @@ class ProcessBackend(ThreadBackend):
 
     name = "process"
     supports_shard_scans = True
-    wants_shared_buffers = True
 
     def __init__(
         self,

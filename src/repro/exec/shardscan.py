@@ -1,14 +1,12 @@
 """Resident shard scan state and the worker-process protocol.
 
 A :class:`ShardScanSpec` is everything a worker process needs to scan
-one published scan state: the scan matrix — one centroid per relation
-under ``mean``, every value vector under ``max_mean`` — (as a
-:class:`~repro.linalg.sharedbuf.BufferSpec` naming a shared-memory
-segment or — ``kind="mmap"`` — a committed segment file the worker
-maps read-only, or the raw array when neither exists), the relation
-block offsets, per-row weights and the aggregation knobs — stamped
-with the store's monotone ``generation`` so stale state is
-detectable.
+one published scan state: the centroid matrix, one row per relation
+(as a :class:`~repro.linalg.sharedbuf.BufferSpec` naming a
+shared-memory segment or — ``kind="mmap"`` — a committed segment file
+the worker maps read-only, or the raw array when neither exists), the
+relation offsets and per-row weights — stamped with the store's
+monotone ``generation`` so stale state is detectable.
 
 :func:`shard_worker_main` is the worker entry point: a loop over a
 command pipe speaking five tuples —
@@ -19,7 +17,7 @@ command pipe speaking five tuples —
 ``("drop", key)``
     release ``key``'s resident state.
 ``("scan", key, generation, query_block)``
-    the ExS scan kernel over the resident matrix; errors loudly when
+    the row-wise scan kernel over the resident matrix; errors loudly when
     ``key`` is unknown or its resident generation differs.
 ``("ping",)`` / ``("stop",)``
     liveness probe / graceful shutdown.
@@ -27,7 +25,7 @@ command pipe speaking five tuples —
 One request gets exactly one ``("ok", payload)`` or ``("err", text)``
 reply; the parent serializes requests per worker with a lock, so the
 pipe never interleaves frames.  The scan kernel is the very same
-:func:`repro.linalg.segment.scan_scores` the parent uses inline, over
+:func:`repro.linalg.segment.rowwise_scores` ExS uses inline, over
 the very same bytes, so worker scores are bitwise identical to an
 in-process scan.
 """
@@ -41,7 +39,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.linalg import sharedbuf
-from repro.linalg.segment import scan_scores
+from repro.linalg.segment import rowwise_scores
 from repro.linalg.sharedbuf import ArrayBuffer, BufferSpec, SharedBuffer
 from repro.storage.mapped import MappedBuffer
 
@@ -69,8 +67,6 @@ class ShardScanSpec:
     matrix: np.ndarray | None
     offsets: np.ndarray
     weights: np.ndarray
-    aggregate: str
-    top_fraction: float
 
     def __post_init__(self) -> None:
         if (self.buffer is None) == (self.matrix is None):
@@ -104,13 +100,7 @@ class ResidentShard:
     def scan(self, query_block: np.ndarray) -> np.ndarray:
         """The ``(R, Q)`` score matrix — the parent's kernel, verbatim,
         over the same bytes."""
-        return scan_scores(
-            self.matrix,
-            query_block,
-            self.spec.offsets,
-            aggregate=self.spec.aggregate,
-            top_fraction=self.spec.top_fraction,
-        )
+        return rowwise_scores(self.matrix, query_block)
 
     def close(self) -> None:
         # Drop our ndarray reference before closing the mapping, so the

@@ -13,7 +13,7 @@ from repro.linalg.distances import (
     similarity,
 )
 from repro.linalg.kmeans import KMeans
-from repro.linalg.segment import rowwise_scores, scan_scores, segment_scores
+from repro.linalg.segment import rowwise_scores, segment_scores
 from repro.linalg.sharedbuf import (
     ArrayBuffer,
     BufferSpec,
@@ -40,7 +40,6 @@ __all__ = [
     "pairwise_similarity",
     "row_norms",
     "rowwise_scores",
-    "scan_scores",
     "segment_scores",
     "shared_memory_available",
     "similarity",

@@ -78,7 +78,6 @@ VOCABULARY: tuple[MetricSpec, ...] = (
     MetricSpec("{method}.batches", "counter", "Query batches answered by the method."),
     MetricSpec("{method}.deltas", "counter", "Store deltas absorbed by the method's index."),
     MetricSpec("{method}.generation", "gauge", "Store generation the method's index has applied."),
-    MetricSpec("{method}.fused_rows", "counter", "Rows x queries pushed through the max_mean ExS GEMM."),
     MetricSpec("{method}.drift", "gauge", "Clustering staleness absorbed since the last rebuild (CTS)."),
     MetricSpec("{method}.rebuilds", "counter", "Drift-triggered full re-clusterings (CTS)."),
     # -- serving.* --------------------------------------------------------

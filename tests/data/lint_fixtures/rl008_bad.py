@@ -7,7 +7,7 @@ numbers are asserted exactly in tests/test_analysis.py.
 
 import time
 
-from repro.linalg.gemm import cosine_similarity
+from repro.linalg import cosine_similarity, rowwise_scores
 
 
 async def score_inline(query, store):
@@ -28,3 +28,7 @@ def _slurp(path):
 async def score_offloaded(query, store, backend):
     # Executor hop: the callable crosses as a bare reference, no edge.
     return await backend.submit(cosine_similarity, query, store)
+
+
+async def score_centroids(centroids, queries):
+    return rowwise_scores(centroids, queries)  # line 34: ExS's scan kernel on the loop

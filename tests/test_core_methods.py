@@ -59,19 +59,12 @@ class TestExhaustiveSearch:
         }[rel.relation_id]
         assert match == pytest.approx(expected, abs=1e-6)
 
-    def test_max_mean_aggregate(self, indexed_engine):
-        exs = ExhaustiveSearch(aggregate="max_mean", top_fraction=0.2)
-        exs.index(indexed_engine.embeddings)
-        result = exs.search("COVID", k=3, h=-1.0)
-        # focusing on top cells should score relations higher than full mean
-        full = indexed_engine.method("exs").search("COVID", k=3, h=-1.0)
-        assert result.top().score >= full.top().score
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            ExhaustiveSearch(aggregate="bogus")
-        with pytest.raises(ValueError):
-            ExhaustiveSearch(top_fraction=0.0)
+            ExhaustiveSearch(dtype=np.int64)
+        # ExS is the paper's mean aggregation only.
+        with pytest.raises(TypeError):
+            ExhaustiveSearch(aggregate="mean")
 
     def test_unindexed(self):
         with pytest.raises(NotFittedError):

@@ -6,8 +6,8 @@ contracts (order-preserving ``map``, worker-cap clamping, persistent
 pools — the regression tests for the per-call pool churn this layer
 replaced), the process backend's publish/scan/drop worker protocol,
 and engine/serving integration: an ``executor="process"`` engine must
-rank exactly like an inline one and release every shared segment and
-mapped file at ``close()``.
+rank exactly like an inline one, create no shared segment and release
+every mapped file at ``close()``.
 """
 
 from __future__ import annotations
@@ -56,14 +56,10 @@ def shm_segments() -> set[str]:
     return {p.name for p in DEV_SHM.iterdir()}
 
 
-def make_spec(
-    matrix: np.ndarray, generation: int = 1, shared: bool = True, aggregate: str = "mean"
-):
-    """(ShardScanSpec, owner buffer or None): a centroid matrix (one row
-    per relation) under ``mean``, two-row value blocks under
-    ``max_mean``."""
-    step = 1 if aggregate == "mean" else 2
-    offsets = np.arange(0, matrix.shape[0], step, dtype=np.intp)
+def make_spec(matrix: np.ndarray, generation: int = 1, shared: bool = True):
+    """(ShardScanSpec, owner buffer or None): a centroid matrix, one row
+    per relation."""
+    offsets = np.arange(matrix.shape[0], dtype=np.intp)
     weights = np.ones(matrix.shape[0], dtype=np.float64)
     buffer = SharedBuffer.from_array(matrix, shared=shared)
     spec = buffer.spec()
@@ -74,8 +70,6 @@ def make_spec(
             matrix=None if spec is not None else buffer.array,
             offsets=offsets,
             weights=weights,
-            aggregate=aggregate,
-            top_fraction=0.5,
         ),
         buffer,
     )
@@ -166,14 +160,6 @@ class TestSegmentScores:
         got = segment_scores(sims, offsets, weights, aggregate="mean")
         expected = np.add.reduceat(sims * weights[:, np.newaxis], offsets, axis=0)
         assert np.array_equal(got, expected)
-
-    def test_max_mean_selects_top_fraction(self):
-        sims = np.array([[0.0], [1.0], [10.0], [2.0]], dtype=np.float64)
-        offsets = np.array([0, 2], dtype=np.intp)
-        weights = np.ones(4)
-        got = segment_scores(sims, offsets, weights, aggregate="max_mean", top_fraction=0.5)
-        assert got[0, 0] == pytest.approx(1.0)  # best 1 of rows 0-1
-        assert got[1, 0] == pytest.approx(10.0)  # best 1 of rows 2-3
 
     def test_unknown_aggregate_raises(self):
         with pytest.raises(ValueError):
@@ -326,28 +312,17 @@ class TestResolveBackend:
 
 class TestProcessBackend:
     def test_scan_is_bitwise_identical_to_inline_kernel(self, rng):
-        """Mean specs run the row-wise centroid kernel, max_mean specs
-        the GEMM + segmented partition — each exactly as inline."""
+        """A worker runs the row-wise centroid kernel exactly as inline."""
         centroids = rng.standard_normal((8, 5))
-        values = rng.standard_normal((8, 5)).astype(np.float32)
         queries = rng.standard_normal((3, 5)).astype(np.float32)
-        mean, mean_buffer = make_spec(centroids)
-        max_mean, max_mean_buffer = make_spec(values, aggregate="max_mean")
+        spec, buffer = make_spec(centroids)
         with ProcessBackend(max_workers=2) as backend:
-            backend.publish_shard("mean", mean)
-            backend.publish_shard("max_mean", max_mean)
-            got_mean, got_max_mean = backend.scan_shards(
-                [("mean", 1, queries), ("max_mean", 1, queries)]
-            )
-            assert np.array_equal(got_mean, rowwise_scores(centroids, queries))
-            expected = segment_scores(
-                values @ queries.T, max_mean.offsets, aggregate="max_mean", top_fraction=0.5
-            )
-            assert np.array_equal(got_max_mean, expected)
+            backend.publish_shard("mean", spec)
+            [got] = backend.scan_shards([("mean", 1, queries)])
+            assert np.array_equal(got, rowwise_scores(centroids, queries))
             counters = backend.metrics.snapshot()["counters"]
-            assert counters["exec.process.shard_scans"] == 2
-        mean_buffer.close()
-        max_mean_buffer.close()
+            assert counters["exec.process.shard_scans"] == 1
+        buffer.close()
 
     def test_scan_many_shards_in_request_order(self, rng):
         matrices = [rng.standard_normal((4, 3)).astype(np.float32) for _ in range(3)]
@@ -411,8 +386,6 @@ class TestProcessBackend:
                 matrix=None,
                 offsets=np.zeros(1, dtype=np.intp),
                 weights=np.ones(1),
-                aggregate="mean",
-                top_fraction=0.1,
             )
         with pytest.raises(ExecutionError):
             ShardScanSpec(
@@ -421,8 +394,6 @@ class TestProcessBackend:
                 matrix=np.zeros((1, 1), dtype=np.float32),
                 offsets=np.zeros(1, dtype=np.intp),
                 weights=np.ones(1),
-                aggregate="mean",
-                top_fraction=0.1,
             )
 
 
@@ -432,10 +403,8 @@ class TestProcessBackend:
 QUERIES = ["vaccination campaign europe", "football league results", "gdp figures"]
 
 
-def make_engine(tiny_federation, executor, shards: int = 1, **exs_params) -> DiscoveryEngine:
-    engine = DiscoveryEngine(
-        dim=48, shards=shards, executor=executor, method_params={"exs": exs_params}
-    )
+def make_engine(tiny_federation, executor, shards: int = 1) -> DiscoveryEngine:
+    engine = DiscoveryEngine(dim=48, shards=shards, executor=executor)
     engine.index(tiny_federation)
     return engine
 
@@ -496,13 +465,15 @@ class TestEngineIntegration:
                     ]
 
     def test_engine_close_releases_every_segment(self, tiny_federation):
-        """``max_mean`` keeps its value matrices in shared segments."""
+        """No search path publishes to a worker, so an engine on any
+        backend creates no shared segment, and leaves none behind."""
         before_registry = set(live_segment_names())
         before_shm = shm_segments()
-        engine = make_engine(tiny_federation, "process", shards=2, aggregate="max_mean")
-        engine.search_batch(QUERIES, method="exs", workers=4)
-        assert set(live_segment_names()) - before_registry  # buffers live
-        engine.close()
+        for executor in ("inline", "thread", "process"):
+            engine = make_engine(tiny_federation, executor, shards=2)
+            engine.search_batch(QUERIES, method="exs", workers=4)
+            assert set(live_segment_names()) <= before_registry
+            engine.close()
         assert set(live_segment_names()) <= before_registry
         assert shm_segments() <= before_shm  # nothing leaked in /dev/shm
 

@@ -3,8 +3,8 @@
 Algorithm 1 as plain loops (float64, count-weighted mean, ``h`` filter,
 ``(-score, relation_id)``, top-k) is the only reference in this file.
 Every way of *filling* the ``(R, Q)`` score matrix — the row-wise
-centroid scan, the ``max_mean`` GEMM, either storage dtype, any
-backend (a worker-resident matrix included), any ``shards=`` value —
+centroid scan at either query dtype, any backend, any ``shards=``
+value —
 and every way of *cutting* it (k, h, exact ties) is compared with that
 oracle, never pairwise with another engine path.
 """
@@ -72,19 +72,14 @@ def federation() -> Federation:
 # -- the oracle -------------------------------------------------------------
 
 
-def oracle_scores(embeddings, query, aggregate="mean", top_fraction=0.1) -> dict[str, float]:
+def oracle_scores(embeddings, query) -> dict[str, float]:
     """Every relation's Algorithm-1 score, one multiply-add at a time."""
     q = [float(x) for x in embeddings.encode_query(query)]
     scores: dict[str, float] = {}
     for relation in embeddings.relations:
         sims = [sum(float(v) * x for v, x in zip(row, q)) for row in relation.vectors]
         counts = [int(c) for c in relation.counts]
-        if aggregate == "mean":
-            score = sum(c * s for c, s in zip(counts, sims)) / sum(counts)
-        else:
-            keep = max(1, math.ceil(top_fraction * len(sims)))
-            score = sum(sorted(sims, reverse=True)[:keep]) / keep
-        scores[relation.relation_id] = score
+        scores[relation.relation_id] = sum(c * s for c, s in zip(counts, sims)) / sum(counts)
     return scores
 
 
@@ -113,12 +108,12 @@ def assert_agrees(answer, truth: dict[str, float], cells: dict[str, int], k: int
         assert match.details == {"n_values": cells[match.relation_id]}
 
 
-def check_engine(engine: DiscoveryEngine, aggregate: str = "mean") -> None:
+def check_engine(engine: DiscoveryEngine) -> None:
     """``search`` and ``search_batch`` (workers 1 and 3) against the
     oracle over every k/h corner."""
     store = engine.embeddings
     cells = {r.relation_id: r.n_cells for r in store.relations}
-    truths = [oracle_scores(store, query, aggregate) for query in QUERIES]
+    truths = [oracle_scores(store, query) for query in QUERIES]
     n = store.n_relations
     best = max(max(truth.values()) for truth in truths)
     mid = sorted(truths[0].values())[-5] - 3 * TOL  # keeps the first query's five best
@@ -134,10 +129,8 @@ def check_engine(engine: DiscoveryEngine, aggregate: str = "mean") -> None:
                     assert [len(answer) for answer in batch] == [0] * len(QUERIES)
 
 
-def make_engine(shards=1, executor="inline", dtype=np.float32, **exs_params) -> DiscoveryEngine:
-    return DiscoveryEngine(
-        dim=48, shards=shards, executor=executor, dtype=dtype, method_params={"exs": exs_params}
-    )
+def make_engine(shards=1, executor="inline", dtype=np.float32) -> DiscoveryEngine:
+    return DiscoveryEngine(dim=48, shards=shards, executor=executor, dtype=dtype)
 
 
 needs_shared_memory = pytest.mark.skipif(
@@ -148,19 +141,19 @@ needs_shared_memory = pytest.mark.skipif(
 # -- every fill x every cut, against the oracle --------------------------------
 
 
-@pytest.mark.parametrize("aggregate", ["mean", "max_mean"])
+@pytest.mark.parametrize("aggregate", ["mean"])
 @pytest.mark.parametrize("float64", [True, False])
 @pytest.mark.parametrize(
     "executor", ["inline", "thread", pytest.param("process", marks=needs_shared_memory)]
 )
 @pytest.mark.parametrize("shards", [1, 2, 5])
 def test_every_path_agrees_with_oracle(shards, executor, float64, aggregate):
-    """``float64`` picks the engine dtype: float64 storage, or the
-    float32 default."""
+    """``float64`` picks the engine dtype: float64 queries, or the
+    float32 default.  ``aggregate`` is the paper's mean, the only one."""
     dtype = np.float64 if float64 else np.float32
-    with make_engine(shards, executor, dtype=dtype, aggregate=aggregate) as engine:
+    with make_engine(shards, executor, dtype=dtype) as engine:
         engine.index(federation())
-        check_engine(engine, aggregate)
+        check_engine(engine)
 
 
 @pytest.mark.parametrize("shards", [1, 2, 5])

@@ -2,16 +2,14 @@
 and memory.
 
 The perf work rewired three serving paths — the ExS scan (row-wise
-centroid scores under ``mean``, one GEMM + segmented partition under
-``max_mean``), dtype-preserving vector storage, and batched ADC for PQ
-configurations.  These tests pin the invariant that made the rewiring
+centroid scores), dtype-preserving vector storage, and batched ADC for
+PQ configurations.  These tests pin the invariant that made the rewiring
 safe: the fast paths rank *exactly* what the reference paths rank.
 
 The ExS reference is ``tests.test_exs_result_path.oracle_scores``:
 every value vector against the query in float64, then the
-count-weighted mean or the top-fraction mean.  Tolerance model: 1e-9
-at float64.  At float32 the query is quantised and the ``max_mean``
-GEMM reduces in float32, so scores drift by up to ~1e-5 on unit-norm
+count-weighted mean.  Tolerance model: 1e-9 at float64.  At float32
+the query is quantised, so scores drift by up to ~1e-5 on unit-norm
 embeddings; rankings must still be identical.
 """
 
@@ -69,19 +67,14 @@ def score_tol(dtype) -> float:
     return 1e-9 if np.dtype(dtype) == np.float64 else 1e-4
 
 
-def make_exs_engine(dtype, shards: int = 1, **exs_params) -> DiscoveryEngine:
-    return DiscoveryEngine(
-        dim=48,
-        dtype=dtype,
-        shards=shards,
-        method_params={"exs": exs_params},
-    )
+def make_exs_engine(dtype, shards: int = 1) -> DiscoveryEngine:
+    return DiscoveryEngine(dim=48, dtype=dtype, shards=shards)
 
 
-def assert_matches_reference(engine: DiscoveryEngine, tol: float, aggregate: str = "mean") -> None:
+def assert_matches_reference(engine: DiscoveryEngine, tol: float) -> None:
     batch = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
     for query, got in zip(QUERIES, batch):
-        truth = oracle_scores(engine.embeddings, query, aggregate)
+        truth = oracle_scores(engine.embeddings, query)
         want = sorted(truth, key=lambda rid: (-truth[rid], rid))
         assert got.relation_ids() == want
         for match in got.matches:
@@ -93,10 +86,10 @@ def assert_matches_reference(engine: DiscoveryEngine, tol: float, aggregate: str
 
 class TestFusedVsPerBlock:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("aggregate", ["mean", "max_mean"])
+    @pytest.mark.parametrize("aggregate", ["mean"])
     def test_batch_rank_identity(self, dtype, aggregate):
-        engine = make_exs_engine(dtype, aggregate=aggregate).index(federation(range(8)))
-        assert_matches_reference(engine, score_tol(dtype), aggregate)
+        engine = make_exs_engine(dtype).index(federation(range(8)))
+        assert_matches_reference(engine, score_tol(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_single_query_paths_agree(self, dtype):
@@ -339,36 +332,24 @@ class TestCollectionBatching:
 
 class TestMemoryObservability:
     def test_float32_halves_engine_index_bytes(self):
-        """The value matrix ``max_mean`` stacks is stored in the engine
-        dtype; ``mean`` centroids are float64 either way."""
+        """The ANNS values collection is stored in the engine dtype;
+        ExS centroids are float64 either way."""
         fed = federation(range(6))
         sizes = {}
         for dtype in (np.float32, np.float64):
-            engine = make_exs_engine(dtype, aggregate="max_mean").index(fed)
-            engine.method("exs")  # only ExS built: ratio is exact
+            engine = DiscoveryEngine(
+                dim=48, dtype=dtype, method_params={"anns": {"index_kind": "exact"}}
+            ).index(fed)
+            engine.method("anns")  # only ANNS built: ratio is exact
             sizes[np.dtype(dtype).name] = engine.metrics.gauge("engine.index_bytes").value
         assert sizes["float64"] == 2 * sizes["float32"] > 0
 
     def test_exs_index_bytes_is_stacked_matrix(self):
         fed = federation(range(6))
-        mean = make_exs_engine(np.float32).index(fed)
-        assert mean.method("exs").index_bytes() == 6 * 48 * 8  # R centroids x d x float64
-        max_mean = make_exs_engine(np.float32, aggregate="max_mean").index(fed)
-        method = max_mean.method("exs")
-        assert method.index_bytes() == method._matrix.nbytes
-        assert method.index_bytes() == max_mean.embeddings.total_vectors * 48 * 4
-        assert mean.embeddings.nbytes > 0  # semantic store reports too
-
-    def test_fused_rows_counter(self):
-        """Only ``max_mean`` pushes value rows through a GEMM."""
-        engine = make_exs_engine(np.float32, aggregate="max_mean").index(federation(range(6)))
-        engine.method("exs")
-        rows = engine.embeddings.total_vectors
-        engine.search_batch(QUERIES, method="exs", k=5, h=-1.0)
-        assert engine.metrics.counter("exs.fused_rows").value == rows * len(QUERIES)
-        mean = make_exs_engine(np.float32).index(federation(range(6)))
-        mean.search_batch(QUERIES, method="exs", k=5, h=-1.0)
-        assert mean.metrics.counter("exs.fused_rows").value == 0
+        for dtype in (np.float32, np.float64):
+            engine = make_exs_engine(dtype).index(fed)
+            assert engine.method("exs").index_bytes() == 6 * 48 * 8  # R centroids x d x float64
+        assert engine.embeddings.nbytes > 0  # semantic store reports too
 
 
 # -- linalg fast paths ------------------------------------------------------

@@ -231,15 +231,11 @@ class TestFusedKernelGuards:
         with pytest.raises(SanitizerError, match="dtype"):
             exs._scan(block)
 
-    @pytest.mark.parametrize(
-        "aggregate, promoted",
-        [("max_mean", np.float64), ("mean", np.float32)],
-    )
+    @pytest.mark.parametrize("aggregate, promoted", [("mean", np.float32)])
     def test_dtype_mismatched_matrix_is_caught(self, tiny_federation, aggregate, promoted):
-        """Both scan layouts keep a dtype check on the matrix itself:
-        the ``max_mean`` value matrix at the engine dtype, the centroid
-        matrix at float64."""
-        exs = self._exs(tiny_federation, dtype=np.float32, aggregate=aggregate)
+        """The centroid matrix keeps a dtype check of its own: float64,
+        whatever the query dtype."""
+        exs = self._exs(tiny_federation, dtype=np.float32)
         assert exs._matrix is not None
         exs._matrix = exs._matrix.astype(promoted)
         with pytest.raises(SanitizerError, match="operand 0 has dtype"):
