@@ -140,6 +140,7 @@ _BLOCKING_ATTR_CALLS = frozenset(
         "read_lock",
         "map",
         "cosine_similarity",
+        "gemm_candidates",
         "rowwise_scores",
         "segment_scores",
         "adc_scores_batch",
@@ -158,6 +159,7 @@ _BLOCKING_WITH_ITEMS = frozenset({"read", "write", "read_lock"})
 _BLOCKING_BARE_CALLS = frozenset(
     {
         "cosine_similarity",
+        "gemm_candidates",
         "rowwise_scores",
         "segment_scores",
         "adc_scores_batch",

@@ -13,7 +13,7 @@ from repro.linalg.distances import (
     similarity,
 )
 from repro.linalg.kmeans import KMeans
-from repro.linalg.segment import rowwise_scores, segment_scores
+from repro.linalg.segment import gemm_candidates, rowwise_scores, segment_scores
 from repro.linalg.sharedbuf import (
     ArrayBuffer,
     BufferSpec,
@@ -34,6 +34,7 @@ __all__ = [
     "cosine_similarity",
     "dot_similarity",
     "euclidean_distance",
+    "gemm_candidates",
     "live_segment_names",
     "normalize_rows",
     "pairwise_distance",

@@ -58,10 +58,10 @@ def top_k_indices_rowwise(scores: np.ndarray, k: int, largest: bool = True) -> n
     """Per-row top-k of a 2-D ``(Q, n)`` score matrix, best first.
 
     One ``partition`` along ``axis=1`` selects every row's candidate
-    set at once; only the ordering of each row's few candidates walks
-    the rows.  Returns a ``(Q, min(k, n))`` index matrix whose row ``i``
-    equals ``top_k_indices(scores[i], k, largest)`` — same selection,
-    same stable index-order tie-breaking.
+    set at once, and one ``lexsort`` on ``(row, key, index)`` orders all
+    rows' candidates together.  Returns a ``(Q, min(k, n))`` index
+    matrix whose row ``i`` equals ``top_k_indices(scores[i], k,
+    largest)`` — same selection, same stable index-order tie-breaking.
     """
     # repro-lint: disable=RL003 -- dtype-preserving selection; comparisons work in the caller's dtype
     scores = np.asarray(scores)
@@ -71,8 +71,10 @@ def top_k_indices_rowwise(scores: np.ndarray, k: int, largest: bool = True) -> n
     if k <= 0 or n == 0 or n_queries == 0:
         return np.empty((n_queries, 0), dtype=np.intp)
     keys = -scores if largest else scores
-    mask = top_k_mask(keys, k, largest=False)
-    best = np.empty((n_queries, min(k, n)), dtype=np.intp)
-    for row in range(n_queries):
-        best[row] = _best_first(keys[row], mask[row], k)
-    return best
+    candidates = np.flatnonzero(top_k_mask(keys, k, largest=False))
+    rows, index = np.divmod(candidates, n)
+    order = np.lexsort((index, np.take(keys, candidates), rows))
+    # Every row holds >= min(k, n) candidates and keeps its place in
+    # ``rows``' sorted order; keep each row's first k.
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    return index[order][rank < k].reshape(n_queries, min(k, n))

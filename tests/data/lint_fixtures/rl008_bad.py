@@ -7,7 +7,7 @@ numbers are asserted exactly in tests/test_analysis.py.
 
 import time
 
-from repro.linalg import cosine_similarity, rowwise_scores
+from repro.linalg import cosine_similarity, gemm_candidates, rowwise_scores
 
 
 async def score_inline(query, store):
@@ -32,3 +32,7 @@ async def score_offloaded(query, store, backend):
 
 async def score_centroids(centroids, queries):
     return rowwise_scores(centroids, queries)  # line 34: ExS's scan kernel on the loop
+
+
+async def bound_centroids(centroids, queries, max_norm):
+    return gemm_candidates(centroids, queries, 20, 0.0, max_norm)  # line 38: ExS's bound pass

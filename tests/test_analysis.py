@@ -130,13 +130,20 @@ class TestRuleFixtures:
     def test_rl008_event_loop_hygiene(self):
         report = check_fixture("rl008_bad.py", "src/repro/serving/rl008_bad.py")
         got = [(f.rule_id, f.line) for f in report.findings]
-        assert got == [("RL008", 14), ("RL008", 15), ("RL008", 20), ("RL008", 34)]
+        assert got == [
+            ("RL008", 14),
+            ("RL008", 15),
+            ("RL008", 20),
+            ("RL008", 34),
+            ("RL008", 38),
+        ]
         assert "cosine_similarity()" in report.findings[0].message
         assert "time.sleep()" in report.findings[1].message
         # Transitive paths anchor at the call site inside the root and
         # spell out the chain.
         assert "read_snapshot -> _slurp -> open()" in report.findings[2].message
         assert "rowwise_scores()" in report.findings[3].message
+        assert "gemm_candidates()" in report.findings[4].message
 
     def test_rl008_only_roots_in_serving(self):
         # The same source outside repro/serving/ is out of scope.

@@ -14,6 +14,7 @@ from repro.linalg import (
     Metric,
     cosine_similarity,
     euclidean_distance,
+    gemm_candidates,
     normalize_rows,
     pairwise_distance,
     pairwise_similarity,
@@ -184,6 +185,8 @@ class TestTopK:
         np.testing.assert_array_equal(top_k_indices(scores, 2), [2, 4])
         np.testing.assert_array_equal(top_k_indices(scores, 4), [2, 4, 0, 1])
         np.testing.assert_array_equal(top_k_indices(scores, 4, largest=False), [0, 4, 2, 1])
+        rowwise = top_k_indices_rowwise(np.stack([scores, scores[::-1]]), 4)
+        np.testing.assert_array_equal(rowwise, [[2, 4, 0, 1], [2, 0, 4, 1]])
 
 
 class TestExSScanKernels:
@@ -256,6 +259,33 @@ class TestExSScanKernels:
                 assert [(m.relation_id, m.score) for m in alone.matches] == [
                     (m.relation_id, m.score) for m in in_batch.matches
                 ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 45),
+        st.sampled_from([-10.0, 0.0, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_gemm_candidates_cover_every_true_winner(self, n_rows, k, h, seed):
+        """Every pair in a query's exact top-k at or above ``h`` — ties
+        with twin rows and NaN rows included — is a candidate, and the
+        pairs come back query-major."""
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n_rows, 7))
+        rows[rng.integers(0, n_rows, size=n_rows // 2)] = rows[0]  # twins of row 0
+        if n_rows > 2:
+            rows[1] = np.nan
+        queries = rng.standard_normal((3, 7)).astype(np.float32)
+        max_norm = float(np.nanmax(np.linalg.norm(rows, axis=1)))
+        query_idx, row_idx = gemm_candidates(rows, queries, k, h, max_norm)
+        assert np.all(np.diff(query_idx) >= 0)
+        found = set(zip(query_idx.tolist(), row_idx.tolist()))
+        exact = rowwise_scores(rows, queries)
+        for q in range(queries.shape[0]):
+            for r in top_k_indices(exact[:, q], k).tolist():
+                if exact[r, q] >= h:
+                    assert (q, r) in found
 
 
 class TestKMeans:

@@ -229,7 +229,7 @@ class TestFusedKernelGuards:
         exs = self._exs(tiny_federation, dtype=np.float32)
         block = np.ones((1, 64), dtype=np.float64)
         with pytest.raises(SanitizerError, match="dtype"):
-            exs._scan(block)
+            exs._scan(block, k=5, h=0.0)
 
     @pytest.mark.parametrize("aggregate, promoted", [("mean", np.float32)])
     def test_dtype_mismatched_matrix_is_caught(self, tiny_federation, aggregate, promoted):
