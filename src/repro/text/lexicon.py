@@ -93,7 +93,9 @@ class ConceptLexicon:
         """
         key = normalize_text(term)
         weights: dict[str, float] = {}
-        frontier = {concept: 1.0 for concept in self._term_concepts.get(key, ())}
+        # Sets iterate in PYTHONHASHSEED order; sorting keeps the returned
+        # order, and so the encoder's float sums, the same in every process.
+        frontier = {concept: 1.0 for concept in sorted(self._term_concepts.get(key, ()))}
         for _ in range(depth + 1):
             if not frontier:
                 break
@@ -102,7 +104,7 @@ class ConceptLexicon:
                 if weights.get(concept, 0.0) >= weight:
                     continue
                 weights[concept] = weight
-                for parent in self._broader.get(concept, ()):
+                for parent in sorted(self._broader.get(concept, ())):
                     parent_weight = weight * decay
                     if next_frontier.get(parent, 0.0) < parent_weight:
                         next_frontier[parent] = parent_weight

@@ -1,10 +1,16 @@
 """Tests for the embedding substrate (hashing, semantic, co-occurrence, cache)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.embedding import (
     CachingEncoder,
     CooccurrenceEncoder,
@@ -142,6 +148,35 @@ class TestSemanticHashEncoder:
         enc = SemanticHashEncoder(dim=32)
         norm = np.linalg.norm(enc.encode_one(text))
         assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
+
+    def test_bits_do_not_depend_on_the_hash_seed(self):
+        """Concept expansion walks sets, whose order follows
+        ``PYTHONHASHSEED``; unsorted, it summed concept vectors in another
+        order in every process and moved float64 vectors in the last bit."""
+        src = Path(repro.__file__).resolve().parents[1]
+        texts = [
+            "comirnaty booster in california",
+            "pfizer moderna vaccination texas hospital",
+            "covid-19 vaccine doses in germany and japan",
+        ]
+        script = (
+            "import sys\n"
+            "from repro.embedding import SemanticHashEncoder\n"
+            f"vectors = SemanticHashEncoder(dim=64).encode({texts!r})\n"
+            "sys.stdout.write(vectors.tobytes().hex())\n"
+        )
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
 
 
 class TestCooccurrenceEncoder:
