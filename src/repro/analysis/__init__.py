@@ -20,10 +20,9 @@ encoding the real invariants:
   ``repro.core.exhaustive``).
 * **RL004 concurrency hygiene** — no raw ``threading.Lock`` beside an
   RWLock, no ``except Exception: pass``, no mutable class defaults.
-* **RL005 executor construction** — raw ``ThreadPoolExecutor`` /
-  ``ProcessPoolExecutor`` only inside :mod:`repro.exec`; every other
-  parallel site runs on the engine's
-  :class:`~repro.exec.ExecutionBackend`.
+* **RL005 executor construction** — raw ``ThreadPoolExecutor`` only
+  inside :mod:`repro.exec`; every other parallel site runs on the
+  engine's :class:`~repro.exec.ExecutionBackend`.
 * **RL006 raw array persistence** — ``np.save`` / ``np.load`` /
   ``np.memmap`` and friends only inside :mod:`repro.storage`; every
   other persistence path goes through the checksummed, atomically
@@ -43,7 +42,7 @@ a forward dataflow solver (:mod:`repro.analysis.flow`):
   ``ExecutionBackend.map``) reachable from an ``async def`` body in
   :mod:`repro.serving` without an executor hop.
 * **RL009 buffer/resource lifecycle** — every
-  ``SharedBuffer``/``MappedBuffer``/``SegmentWriter`` acquisition
+  ``MappedBuffer``/``SegmentWriter`` acquisition
   reaches close/release/commit/context-exit on all CFG paths,
   including exceptional edges.
 * **RL010 generation monotonicity** — fields declared

@@ -19,7 +19,7 @@ CFGs + a forward dataflow solver):
   references passed as arguments never create call edges, so executor
   dispatch breaks the path automatically).
 * **RL009** — buffer/resource lifecycle: every acquisition of a
-  ``SharedBuffer``/``MappedBuffer``/``SegmentWriter`` handle must reach
+  ``MappedBuffer``/``SegmentWriter`` handle must reach
   a ``close()``/``release()``/``commit()``/context-manager exit on all
   CFG paths, *including exceptional edges* (``SegmentWriter`` is exempt
   on exceptional paths: an uncommitted segment is crash-safe by
@@ -253,12 +253,11 @@ class EventLoopHygieneRule(ProjectRule):
 
 #: ``Classname.classmethod`` acquisition constructors, by class.
 _BUFFER_CONSTRUCTORS: Mapping[str, frozenset[str]] = {
-    "SharedBuffer": frozenset({"from_array", "attach"}),
-    "MappedBuffer": frozenset({"from_file", "attach"}),
+    "MappedBuffer": frozenset({"from_file"}),
 }
 
 #: Receiver-independent acquisition methods (always yield a new handle).
-_BUFFER_METHODS = frozenset({"addref", "mapped"})
+_BUFFER_METHODS = frozenset({"mapped"})
 
 #: Methods that release/retire a tracked handle.
 _RELEASE_METHODS = frozenset({"close", "release", "commit", "abort", "unlink"})

@@ -542,12 +542,12 @@ class ConcurrencyHygieneRule(Rule):
 
 
 class ExecutorConstructionRule(Rule):
-    """RL005: thread/process pools are constructed only in ``repro.exec``.
+    """RL005: thread pools are constructed only in ``repro.exec``.
 
     Every parallel site runs on the engine's
     :class:`~repro.exec.ExecutionBackend`; a raw ``ThreadPoolExecutor``
-    or ``ProcessPoolExecutor`` constructed anywhere else resurrects the
-    per-call pool churn the execution layer exists to end — pools that
+    constructed anywhere else resurrects the per-call pool churn the
+    execution layer exists to end — pools that
     are born and torn down per batch, invisible to ``exec.*`` metrics
     and to the engine's ``close()`` lifecycle.  Use
     ``resolve_backend()`` / the injected ``executor`` instead; a
@@ -555,9 +555,9 @@ class ExecutorConstructionRule(Rule):
     """
 
     rule_id = "RL005"
-    title = "thread/process pools constructed only in repro.exec"
+    title = "thread pools constructed only in repro.exec"
 
-    _POOLS = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
+    _POOLS = frozenset({"ThreadPoolExecutor"})
     _HOME = "repro/exec/"
 
     def check(self, module: SourceModule) -> Iterator[Finding]:

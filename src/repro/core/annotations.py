@@ -82,7 +82,7 @@ def monotonic(*fields: str) -> Callable[[_T], _T]:
     (``self.generation += 1``) or a publish of another generation value
     (``self.generation = store.generation``), and only with the writer
     side held — the invariant the query cache's generation-precise
-    invalidation and the process workers' delta replay both rest on.
+    invalidation rests on.
     RL010 enforces it statically; the declaration costs nothing at
     runtime.
     """

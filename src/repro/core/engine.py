@@ -110,12 +110,13 @@ class DiscoveryEngine:
     executor:
         The execution backend running every parallel site (the
         ``workers > 1`` query fan-outs).  Pass a backend name
-        (``"inline"`` / ``"thread"`` / ``"process"``), a ready
+        (``"inline"`` / ``"thread"``), a ready
         :class:`~repro.exec.ExecutionBackend` instance (the caller then
         owns its lifecycle), or ``None`` to defer to the
         ``REPRO_EXECUTOR`` environment variable (default ``thread``).
-        ExS scans in the calling process on every backend.  The engine
-        closes a backend it created itself at :meth:`close`.
+        No backend starts a worker process: every method scans in the
+        calling process.  The engine closes a backend it created itself
+        at :meth:`close`.
     sanitize:
         Arm the runtime sanitizers: the lifecycle lock becomes an
         :class:`~repro.core.lifecycle.InstrumentedRWLock` (raises on
@@ -436,18 +437,16 @@ class DiscoveryEngine:
     @requires_lock("write")
     def _close_methods(self) -> None:
         """Close and drop every built method (caller holds the write
-        lock): pools owned by standalone methods shut down, shared
-        scan buffers unlink."""
+        lock): pools owned by standalone methods shut down."""
         lockset.write(self, "_methods", policy="anylock")
         for method in self._methods.values():
             method.close()
         self._methods.clear()
 
     def close(self) -> None:
-        """Release everything the engine owns: method indexes (and
-        their shared-memory segments), the store's
-        mapped snapshot files and — when the engine created it — the
-        execution backend and its pool or worker processes.
+        """Release everything the engine owns: method indexes, the
+        store's mapped snapshot files and — when the engine created it —
+        the execution backend and its pool.
         Idempotent; the engine can be re-``index()``-d afterwards only
         with an injected, still-open backend."""
         with self._lifecycle_lock.write():

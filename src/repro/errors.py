@@ -91,10 +91,7 @@ class StorageError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """An execution backend failed: a backend was used after
-    ``close()``, a shard worker process died or rejected a command, or
-    a scan referenced shard state that was never published (or whose
-    resident generation disagrees with the caller's)."""
+    """An execution backend was used after ``close()``."""
 
 
 class DataGenerationError(ReproError):

@@ -5,38 +5,30 @@ library has — query-chunk fan-outs and the serving dispatch pool:
 
 * :class:`InlineBackend` — serial, deterministic reference;
 * :class:`ThreadBackend` — one persistent sized thread pool (BLAS
-  releases the GIL), with per-call ``cap`` clamping;
-* :class:`ProcessBackend` — the thread pool plus worker processes that
-  hold published scan matrices behind command pipes.  ExS does not
-  publish to them; it scans in the calling process.
+  releases the GIL), with per-call ``cap`` clamping.
 
-:func:`resolve_backend` maps a name (or the ``REPRO_EXECUTOR``
-environment variable) to a backend.  The RL005 lint rule pins every
-raw ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` construction to
-this package, so "parallelism" stays one subsystem instead of a pile
-of per-call pools.
+No backend starts a worker process; every search method scans in the
+calling process.  :func:`resolve_backend` maps a name (or the
+``REPRO_EXECUTOR`` environment variable) to a backend.  The RL005 lint
+rule pins every raw ``ThreadPoolExecutor`` construction to this
+package, so "parallelism" stays one subsystem instead of a pile of
+per-call pools.
 """
 
 from repro.exec.backend import (
     EXECUTOR_ENV,
     ExecutionBackend,
     InlineBackend,
-    ProcessBackend,
     ThreadBackend,
     default_pool_size,
     resolve_backend,
 )
-from repro.exec.shardscan import ResidentShard, ShardScanSpec, shard_worker_main
 
 __all__ = [
     "EXECUTOR_ENV",
     "ExecutionBackend",
     "InlineBackend",
-    "ProcessBackend",
-    "ResidentShard",
-    "ShardScanSpec",
     "ThreadBackend",
     "default_pool_size",
     "resolve_backend",
-    "shard_worker_main",
 ]

@@ -1,5 +1,5 @@
 """Numeric kernels shared across the library: distances, top-k,
-k-means, the ExS scan kernels and shared-memory buffers."""
+k-means and the ExS scan kernels."""
 
 from repro.linalg.distances import (
     Metric,
@@ -14,35 +14,21 @@ from repro.linalg.distances import (
 )
 from repro.linalg.kmeans import KMeans
 from repro.linalg.segment import gemm_candidates, rowwise_scores, segment_scores
-from repro.linalg.sharedbuf import (
-    ArrayBuffer,
-    BufferSpec,
-    PlainBuffer,
-    SharedBuffer,
-    live_segment_names,
-    shared_memory_available,
-)
 from repro.linalg.topk import top_k_indices, top_k_indices_rowwise, top_k_mask
 
 __all__ = [
-    "ArrayBuffer",
-    "BufferSpec",
     "KMeans",
     "Metric",
-    "PlainBuffer",
-    "SharedBuffer",
     "cosine_similarity",
     "dot_similarity",
     "euclidean_distance",
     "gemm_candidates",
-    "live_segment_names",
     "normalize_rows",
     "pairwise_distance",
     "pairwise_similarity",
     "row_norms",
     "rowwise_scores",
     "segment_scores",
-    "shared_memory_available",
     "similarity",
     "top_k_indices",
     "top_k_indices_rowwise",

@@ -7,11 +7,10 @@ scores the survivors exactly.  :func:`segment_scores` reduces a ``(rows, Q)``
 similarity slab over relation blocks; the perf ledger's per-layer
 replay runs it on ExS's :meth:`~repro.core.ExhaustiveSearch.scan_spec`.
 
-They live here in ``repro.linalg`` — below both ``repro.core`` and
-``repro.exec`` — because the exact same code must also run inside shard
-worker processes, which hold only the scan matrix (never the
-``ExhaustiveSearch`` object).  Sharing one function is what keeps
-parent-side and worker-side scores bitwise identical.
+They live here in ``repro.linalg``, below ``repro.core``, so that a
+replay or a test holding only the scan matrix (never the
+``ExhaustiveSearch`` object) runs the very function ExS runs, and gets
+the same bits.
 """
 
 from __future__ import annotations

@@ -106,9 +106,8 @@ VOCABULARY: tuple[MetricSpec, ...] = (
     MetricSpec("encoder_cache.evictions", "counter", "Embeddings evicted from the encoder cache (LRU)."),
     # -- exec.* -----------------------------------------------------------
     MetricSpec("exec.{backend}.tasks", "counter", "Tasks executed by the backend (submits + map lanes)."),
-    MetricSpec("exec.{backend}.pool_size", "gauge", "Worker threads/processes the backend is sized to."),
+    MetricSpec("exec.{backend}.pool_size", "gauge", "Worker threads the backend is sized to."),
     MetricSpec("exec.{backend}.queue_ms", "histogram", "Submit-to-start wait on the backend's pool (ms)."),
-    MetricSpec("exec.{backend}.shard_scans", "counter", "Resident scans served by worker processes."),
     # -- storage.* --------------------------------------------------------
     MetricSpec("storage.commit_ms", "histogram", "Snapshot commit latency: payload fsyncs + atomic manifest swap (ms)."),
     MetricSpec("storage.load_ms", "histogram", "Per-payload snapshot read latency: digest-verified materialization or mmap setup (ms)."),

@@ -1,18 +1,10 @@
 """Memory-mapped segment buffers: millisecond cold starts, lazy page-in.
 
-A :class:`MappedBuffer` is the ``mmap`` transport of the
-:class:`~repro.linalg.ArrayBuffer` protocol: a read-only ``np.memmap``
-over a committed segment file.  Opening one touches no data pages —
-the kernel pages bytes in on first access — so ``load_index(...,
-mmap=True)`` returns in milliseconds regardless of index size, and the
-first scan pays the I/O exactly once, amortized over the rows it
-actually reads.
-
-Because the backing store is a *file*, :meth:`spec` names its path
-(``BufferSpec(kind="mmap")``): a process-backend worker attaches by
-mapping the same file, so publishing a mapped shard copies nothing —
-no ``shared_memory`` allocation, no bytes through the command pipe,
-and every process shares one page-cache copy.
+A :class:`MappedBuffer` is a read-only ``np.memmap`` over a committed
+segment file.  Opening one touches no data pages — the kernel pages
+bytes in on first access — so ``load_index(..., mmap=True)`` returns in
+milliseconds regardless of index size, and the first scan pays the I/O
+exactly once, amortized over the rows it actually reads.
 
 The module keeps a registry of live mapped buffers so tests can assert
 engine ``close()`` releases every mapping and the ``storage.
@@ -27,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import StorageError
-from repro.linalg.sharedbuf import BufferSpec
 
 __all__ = ["MappedBuffer", "live_mapped_nbytes", "live_mapped_paths"]
 
@@ -55,19 +46,15 @@ def live_mapped_nbytes() -> int:
 class MappedBuffer:
     """A read-only numpy view over a memory-mapped segment file.
 
-    Construct via :meth:`from_file` (loader side) or :meth:`attach`
-    (worker side, from a ``kind="mmap"`` :class:`BufferSpec`).  Handles
-    are refcounted like :class:`~repro.linalg.SharedBuffer`: every
-    :meth:`addref` needs its own :meth:`close`, and the last close
-    drops the mapping.
+    Construct via :meth:`from_file`; :meth:`close` drops the mapping
+    (idempotent).  One owner holds each handle — the store that loaded
+    it — so there is no reference count.
     """
 
     def __init__(self, path: Path, array: np.ndarray, nbytes: int) -> None:
         self._path = path
         self._array: np.ndarray | None = array
         self._nbytes = nbytes
-        self._refs = 1
-        self._lock = threading.Lock()
         with _live_lock:
             _live[id(self)] = self
 
@@ -101,20 +88,13 @@ class MappedBuffer:
             array = np.memmap(path, dtype=dt, mode="r", shape=tuple(shape), order="C")
         return cls(path, array, expected)
 
-    @classmethod
-    def attach(cls, spec: BufferSpec) -> "MappedBuffer":
-        """Map the segment file a ``kind="mmap"`` spec names."""
-        if spec.kind != "mmap":
-            raise ValueError(f"MappedBuffer cannot attach a {spec.kind!r} spec")
-        return cls.from_file(spec.name, spec.dtype, tuple(spec.shape))
-
     @property
     def path(self) -> Path:
         return self._path
 
     @property
     def array(self) -> np.ndarray:
-        """The read-only view; invalid once the buffer is fully closed."""
+        """The read-only view; invalid once the buffer is closed."""
         if self._array is None:
             raise ValueError("MappedBuffer used after close()")
         return self._array
@@ -127,36 +107,12 @@ class MappedBuffer:
     def closed(self) -> bool:
         return self._array is None
 
-    def spec(self) -> BufferSpec:
-        """How another process maps the same file (always possible)."""
-        return BufferSpec(
-            name=str(self._path),
-            shape=tuple(self.array.shape),
-            dtype=str(self.array.dtype),
-            kind="mmap",
-        )
-
-    def addref(self) -> "MappedBuffer":
-        """Share this handle; every ``addref()`` needs its own
-        :meth:`close`.  The mapping is dropped at refcount zero."""
-        with self._lock:
-            if self._array is None:
-                raise ValueError("MappedBuffer used after close()")
-            self._refs += 1
-        return self
-
     def close(self) -> None:
-        """Drop one reference; the last drop unmaps the file.  Views
-        handed out via :attr:`array` keep the pages alive until they
-        die — the registry entry goes now either way, which is what
-        leak accounting measures."""
-        with self._lock:
-            if self._array is None:
-                return
-            self._refs -= 1
-            if self._refs > 0:
-                return
-            self._array = None
+        """Drop the mapping; idempotent.  Views handed out via
+        :attr:`array` keep the pages alive until they die — the registry
+        entry goes now either way, which is what leak accounting
+        measures."""
+        self._array = None
         with _live_lock:
             _live.pop(id(self), None)
         # Never mmap.close() here: numpy releases its Py_buffer export

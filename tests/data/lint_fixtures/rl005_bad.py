@@ -4,7 +4,7 @@ Line numbers are asserted exactly in tests/test_analysis.py.
 """
 
 import concurrent.futures
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 
 def churn(tasks):
@@ -13,7 +13,7 @@ def churn(tasks):
 
 
 def escape(tasks):
-    pool = concurrent.futures.ProcessPoolExecutor(2)  # line 16
+    pool = concurrent.futures.ThreadPoolExecutor(2)  # line 16
     try:
         return list(pool.map(lambda t: t(), tasks))
     finally:

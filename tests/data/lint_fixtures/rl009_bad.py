@@ -4,12 +4,12 @@ Line numbers are asserted exactly in tests/test_analysis.py — keep the
 layout stable when editing.
 """
 
-from repro.storage.buffers import MappedBuffer, SharedBuffer
+from repro.storage.buffers import MappedBuffer
 from repro.storage.segments import SegmentWriter
 
 
-def leaks_on_fallthrough(arr):
-    buf = SharedBuffer.from_array(arr)  # line 12: never released
+def leaks_on_fallthrough(path):
+    buf = MappedBuffer.from_file(path)  # line 12: never released
     total = buf.view().sum()
     return total
 
@@ -21,8 +21,8 @@ def leaks_on_exception(path):
     return total
 
 
-def discards_handle(arr):
-    SharedBuffer.from_array(arr)  # line 25: discarded immediately
+def discards_handle(snapshot):
+    snapshot.mapped("vectors")  # line 25: discarded immediately
 
 
 def writer_never_commits(root, arr):

@@ -1,13 +1,11 @@
-"""The execution layer: shared buffers, backends, resident shard scans.
+"""The execution layer: backends and their engine/serving integration.
 
-Covers the :mod:`repro.linalg` shared-memory buffer (ownership,
-refcounts, leak accounting down to ``/dev/shm``), the three backends'
-contracts (order-preserving ``map``, worker-cap clamping, persistent
-pools — the regression tests for the per-call pool churn this layer
-replaced), the process backend's publish/scan/drop worker protocol,
-and engine/serving integration: an ``executor="process"`` engine must
-rank exactly like an inline one, create no shared segment and release
-every mapped file at ``close()``.
+Covers the two backends' contracts (order-preserving ``map``,
+worker-cap clamping, persistent pools — the regression tests for the
+per-call pool churn this layer replaced), backend resolution, and
+engine/serving integration: an engine built in another interpreter
+must rank exactly like an inline one here, and no engine creates a
+shared-memory segment or keeps a mapped file past ``close()``.
 """
 
 from __future__ import annotations
@@ -25,26 +23,15 @@ from repro.exec import (
     EXECUTOR_ENV,
     ExecutionBackend,
     InlineBackend,
-    ProcessBackend,
-    ShardScanSpec,
     ThreadBackend,
     default_pool_size,
     resolve_backend,
 )
-from repro.linalg import (
-    BufferSpec,
-    SharedBuffer,
-    live_segment_names,
-    rowwise_scores,
-    segment_scores,
-    shared_memory_available,
-)
+from repro.linalg import segment_scores
 from repro.serving import ServingEngine
 from repro.storage import live_mapped_paths
 
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="no shared memory on this platform"
-)
+from tests.crossprocess import run_elsewhere
 
 DEV_SHM = Path("/dev/shm")
 
@@ -54,102 +41,6 @@ def shm_segments() -> set[str]:
     if not DEV_SHM.is_dir():
         return set()
     return {p.name for p in DEV_SHM.iterdir()}
-
-
-def make_spec(matrix: np.ndarray, generation: int = 1, shared: bool = True):
-    """(ShardScanSpec, owner buffer or None): a centroid matrix, one row
-    per relation."""
-    offsets = np.arange(matrix.shape[0], dtype=np.intp)
-    weights = np.ones(matrix.shape[0], dtype=np.float64)
-    buffer = SharedBuffer.from_array(matrix, shared=shared)
-    spec = buffer.spec()
-    return (
-        ShardScanSpec(
-            generation=generation,
-            buffer=spec,
-            matrix=None if spec is not None else buffer.array,
-            offsets=offsets,
-            weights=weights,
-        ),
-        buffer,
-    )
-
-
-# -- SharedBuffer ---------------------------------------------------------
-
-
-class TestSharedBuffer:
-    def test_roundtrip_and_spec(self, rng):
-        source = rng.standard_normal((6, 4)).astype(np.float32)
-        buffer = SharedBuffer.from_array(source)
-        try:
-            assert np.array_equal(buffer.array, source)
-            spec = buffer.spec()
-            assert spec is not None
-            assert spec.shape == (6, 4) and spec.dtype == "float32"
-            view = SharedBuffer.attach(spec)
-            try:
-                assert np.array_equal(view.array, source)
-                assert not view.array.flags.writeable
-            finally:
-                view.close()
-        finally:
-            buffer.close()
-
-    def test_owner_copy_is_independent_of_source(self, rng):
-        source = rng.standard_normal((3, 3)).astype(np.float32)
-        buffer = SharedBuffer.from_array(source)
-        try:
-            source[...] = 0.0
-            assert not np.array_equal(buffer.array, source)
-        finally:
-            buffer.close()
-
-    def test_close_unlinks_segment_and_registry(self, rng):
-        before = shm_segments()
-        buffer = SharedBuffer.from_array(rng.standard_normal((4, 4)).astype(np.float32))
-        spec = buffer.spec()
-        assert spec.name in live_segment_names()
-        if DEV_SHM.is_dir():
-            assert shm_segments() - before  # the segment exists on disk
-        buffer.close()
-        assert buffer.closed
-        assert spec.name not in live_segment_names()
-        assert shm_segments() <= before  # and is gone again
-        with pytest.raises(ValueError):
-            _ = buffer.array
-
-    def test_refcount_keeps_segment_alive(self, rng):
-        buffer = SharedBuffer.from_array(rng.standard_normal((2, 2)).astype(np.float32))
-        name = buffer.spec().name
-        buffer.addref()
-        buffer.close()
-        assert not buffer.closed and name in live_segment_names()
-        buffer.close()
-        assert buffer.closed and name not in live_segment_names()
-        with pytest.raises(ValueError):
-            buffer.addref()
-
-    def test_close_is_idempotent(self, rng):
-        buffer = SharedBuffer.from_array(rng.standard_normal((2, 2)).astype(np.float32))
-        buffer.close()
-        buffer.close()  # second close is a no-op
-
-    def test_fallback_when_not_shared(self, rng):
-        source = rng.standard_normal((3, 2)).astype(np.float32)
-        buffer = SharedBuffer.from_array(source, shared=False)
-        try:
-            assert buffer.spec() is None
-            assert np.array_equal(buffer.array, source)
-        finally:
-            buffer.close()
-
-    def test_zero_size_array_falls_back(self):
-        buffer = SharedBuffer.from_array(np.empty((0, 4), dtype=np.float32))
-        try:
-            assert buffer.spec() is None  # zero-byte segments don't exist
-        finally:
-            buffer.close()
 
 
 class TestSegmentScores:
@@ -187,12 +78,12 @@ class TestInlineBackend:
                 backend.submit(boom).result()
 
     def test_no_shard_surface(self):
-        with InlineBackend() as backend:
-            assert not backend.supports_shard_scans
-            with pytest.raises(ExecutionError):
-                backend.publish_shard("k", None)
-            with pytest.raises(ExecutionError):
-                backend.scan_shards([("k", 0, np.zeros((1, 2)))])
+        """No backend hosts resident scan state: the publish/scan
+        protocol is gone from the base class, not left unimplemented."""
+        for backend in (InlineBackend(), ThreadBackend(max_workers=1)):
+            with backend:
+                for name in ("publish_shard", "drop_shard", "scan_shards", "supports_shard_scans"):
+                    assert not hasattr(backend, name)
 
 
 class TestThreadBackend:
@@ -273,11 +164,7 @@ class TestThreadBackend:
 
 class TestResolveBackend:
     def test_names(self):
-        for name, cls in [
-            ("inline", InlineBackend),
-            ("thread", ThreadBackend),
-            ("process", ProcessBackend),
-        ]:
+        for name, cls in [("inline", InlineBackend), ("thread", ThreadBackend)]:
             backend = resolve_backend(name)
             try:
                 assert type(backend) is cls and backend.name == name
@@ -300,113 +187,43 @@ class TestResolveBackend:
             assert resolve_backend(backend) is backend
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend("fibers")
+        for name in ("fibers", "process"):
+            with pytest.raises(ConfigurationError, match="'inline' or 'thread'"):
+                resolve_backend(name)
 
     def test_default_pool_size_bounds(self):
         assert 2 <= default_pool_size() <= 32
-
-
-# -- the process backend's worker protocol --------------------------------
-
-
-class TestProcessBackend:
-    def test_scan_is_bitwise_identical_to_inline_kernel(self, rng):
-        """A worker runs the row-wise centroid kernel exactly as inline."""
-        centroids = rng.standard_normal((8, 5))
-        queries = rng.standard_normal((3, 5)).astype(np.float32)
-        spec, buffer = make_spec(centroids)
-        with ProcessBackend(max_workers=2) as backend:
-            backend.publish_shard("mean", spec)
-            [got] = backend.scan_shards([("mean", 1, queries)])
-            assert np.array_equal(got, rowwise_scores(centroids, queries))
-            counters = backend.metrics.snapshot()["counters"]
-            assert counters["exec.process.shard_scans"] == 1
-        buffer.close()
-
-    def test_scan_many_shards_in_request_order(self, rng):
-        matrices = [rng.standard_normal((4, 3)).astype(np.float32) for _ in range(3)]
-        queries = rng.standard_normal((2, 3)).astype(np.float32)
-        published = [make_spec(m) for m in matrices]
-        with ProcessBackend(max_workers=2) as backend:
-            for i, (spec, _) in enumerate(published):
-                backend.publish_shard(f"s{i}", spec)
-            results = backend.scan_shards([(f"s{i}", 1, queries) for i in range(3)])
-            for matrix, scores in zip(matrices, results):
-                assert np.array_equal(scores, rowwise_scores(matrix, queries))
-        for _, buffer in published:
-            buffer.close()
-
-    def test_stale_generation_is_rejected(self, rng):
-        spec, buffer = make_spec(rng.standard_normal((4, 3)).astype(np.float32))
-        with ProcessBackend(max_workers=1) as backend:
-            backend.publish_shard("s0", spec)
-            with pytest.raises(ExecutionError, match="stale shard state"):
-                backend.scan_shards([("s0", 2, np.zeros((1, 3), dtype=np.float32))])
-        buffer.close()
-
-    def test_unpublished_shard_is_rejected(self):
-        with ProcessBackend(max_workers=1) as backend:
-            with pytest.raises(ExecutionError, match="never published"):
-                backend.scan_shards([("ghost", 0, np.zeros((1, 2), dtype=np.float32))])
-
-    def test_drop_forgets_resident_state(self, rng):
-        spec, buffer = make_spec(rng.standard_normal((4, 3)).astype(np.float32))
-        with ProcessBackend(max_workers=1) as backend:
-            backend.publish_shard("s0", spec)
-            backend.drop_shard("s0")
-            with pytest.raises(ExecutionError, match="no resident state"):
-                backend.scan_shards([("s0", 1, np.zeros((1, 3), dtype=np.float32))])
-            backend.drop_shard("never-published")  # no-op, not an error
-        buffer.close()
-
-    def test_matrix_fallback_without_segment(self, rng):
-        """No shared memory for the spec -> the matrix pickles across."""
-        matrix = rng.standard_normal((4, 3)).astype(np.float32)
-        queries = rng.standard_normal((2, 3)).astype(np.float32)
-        spec, buffer = make_spec(matrix, shared=False)
-        assert spec.buffer is None and spec.matrix is not None
-        with ProcessBackend(max_workers=1) as backend:
-            backend.publish_shard("s0", spec)
-            [scores] = backend.scan_shards([("s0", 1, queries)])
-            assert np.array_equal(scores, rowwise_scores(matrix, queries))
-        buffer.close()
-
-    def test_generic_map_still_works(self):
-        # Closures can't pickle; generic work runs on the inherited
-        # thread pool while only shard scans cross the process boundary.
-        with ProcessBackend(max_workers=2) as backend:
-            assert backend.map(lambda x: x * 3, [1, 2, 3]) == [3, 6, 9]
-
-    def test_spec_requires_exactly_one_source(self):
-        with pytest.raises(ExecutionError):
-            ShardScanSpec(
-                generation=0,
-                buffer=None,
-                matrix=None,
-                offsets=np.zeros(1, dtype=np.intp),
-                weights=np.ones(1),
-            )
-        with pytest.raises(ExecutionError):
-            ShardScanSpec(
-                generation=0,
-                buffer=BufferSpec("x", (1, 1), "float32"),
-                matrix=np.zeros((1, 1), dtype=np.float32),
-                offsets=np.zeros(1, dtype=np.intp),
-                weights=np.ones(1),
-            )
 
 
 # -- engine integration ---------------------------------------------------
 
 
 QUERIES = ["vaccination campaign europe", "football league results", "gdp figures"]
+#: Lexicon-heavy texts: concept expansion walks sets, whose order follows
+#: ``PYTHONHASHSEED``, so their float64 vectors move between hash seeds
+#: unless the lexicon iterates in sorted order.
+EXPANDED = ["comirnaty booster in california", "pfizer moderna vaccination texas hospital"]
 
 
 def make_engine(tiny_federation, executor, shards: int = 1) -> DiscoveryEngine:
     engine = DiscoveryEngine(dim=48, shards=shards, executor=executor)
     engine.index(tiny_federation)
     return engine
+
+
+def exs_answers(federation, executor, shards=1, add=None, remove=()):
+    """Every query's ExS ``(relation_id, score)`` list from a fresh
+    float64 engine (float32 queries would hide last-bit differences),
+    after an optional delta patched into the built index."""
+    engine = DiscoveryEngine(dim=48, shards=shards, executor=executor, dtype=np.float64)
+    with engine.index(federation):
+        engine.method("exs")
+        if add:
+            engine.add_relations(add)
+        if remove:
+            engine.remove_relations(list(remove))
+        batch = engine.search_batch(QUERIES + EXPANDED, method="exs", k=10, h=-1.0, workers=4)
+        return [[(m.relation_id, m.score) for m in result.matches] for result in batch]
 
 
 class TestEngineIntegration:
@@ -430,51 +247,43 @@ class TestEngineIntegration:
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_process_engine_ranks_like_inline(self, tiny_federation, shards):
-        with make_engine(tiny_federation, "inline") as baseline:
-            with make_engine(tiny_federation, "process", shards=shards) as engine:
-                for query_list in (QUERIES,):
-                    want = baseline.search_batch(query_list, method="exs", workers=4)
-                    got = engine.search_batch(query_list, method="exs", workers=4)
-                    for w, g in zip(want, got):
-                        assert [m.relation_id for m in w.matches] == [
-                            m.relation_id for m in g.matches
-                        ]
-                        for mw, mg in zip(w.matches, g.matches):
-                            assert mg.score == pytest.approx(mw.score, abs=2e-5)
+        """Thread-backend engines in two other interpreters, under two
+        hash seeds, return the inline engine's answers bit for bit."""
+        want = exs_answers(tiny_federation, "inline")
+        for seed in ("0", "1"):
+            got = run_elsewhere(exs_answers, tiny_federation, "thread", shards, hash_seed=seed)
+            assert got == want
 
     def test_process_engine_survives_deltas(self, tiny_federation, tiny_relations):
         from repro.datamodel.relation import Relation
 
-        fresh = Relation(
-            "museums",
-            ["City", "Museum", "Year"],
-            [["paris", "louvre", "1793"], ["madrid", "prado", "1819"]],
-            caption="museum opening dates",
-        )
-        with make_engine(tiny_federation, "inline", shards=2) as baseline:
-            with make_engine(tiny_federation, "process", shards=2) as engine:
-                for eng in (baseline, engine):
-                    eng.method("exs")
-                    eng.add_relations({"museums/museums": fresh})
-                    eng.remove_relations([f"{tiny_relations[1].name}/{tiny_relations[1].name}"])
-                want = baseline.search_batch(QUERIES, method="exs", workers=4)
-                got = engine.search_batch(QUERIES, method="exs", workers=4)
-                for w, g in zip(want, got):
-                    assert [m.relation_id for m in w.matches] == [
-                        m.relation_id for m in g.matches
-                    ]
+        add = {
+            "museums/museums": Relation(
+                "museums",
+                ["City", "Museum", "Year"],
+                [["paris", "louvre", "1793"], ["madrid", "prado", "1819"]],
+                caption="museum opening dates",
+            )
+        }
+        remove = [f"{tiny_relations[1].name}/{tiny_relations[1].name}"]
+        want = exs_answers(tiny_federation, "inline", 2, add, remove)
+        assert {rid for rid, _ in want[0]} == {
+            "vaccines/vaccines",
+            "economy/economy",
+            "museums/museums",
+        }
+        got = run_elsewhere(exs_answers, tiny_federation, "thread", 2, add, remove)
+        assert got == want
 
     def test_engine_close_releases_every_segment(self, tiny_federation):
-        """No search path publishes to a worker, so an engine on any
-        backend creates no shared segment, and leaves none behind."""
-        before_registry = set(live_segment_names())
+        """No engine creates a shared-memory segment on either backend,
+        so none can outlive ``close()``."""
         before_shm = shm_segments()
-        for executor in ("inline", "thread", "process"):
+        for executor in ("inline", "thread"):
             engine = make_engine(tiny_federation, executor, shards=2)
             engine.search_batch(QUERIES, method="exs", workers=4)
-            assert set(live_segment_names()) <= before_registry
+            assert shm_segments() <= before_shm
             engine.close()
-        assert set(live_segment_names()) <= before_registry
         assert shm_segments() <= before_shm  # nothing leaked in /dev/shm
 
     def test_engine_close_releases_mapped_segments(self, tiny_federation, tmp_path):

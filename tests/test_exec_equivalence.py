@@ -1,13 +1,17 @@
-"""Property tests: every execution backend ranks identically.
+"""Property tests: where an engine runs is invisible in its answers.
 
-The execution layer's contract is that *where* work runs is invisible
-in the results: ExS and exact-index ANNS rankings (and scores, to the
-float32 dtype tolerance) must agree across the inline, thread and
-process backends, at any ``shards=`` value, for fresh indexes, mapped
+ExS and exact-index ANNS rankings (and scores, to the float32 dtype
+tolerance) must agree between the inline backend, the thread backend
+and an engine built in another interpreter under another hash seed
+(``"process"``), at any ``shards=`` value, for fresh indexes, mapped
 loads and after arbitrary add/update/remove delta sequences.
 """
 
 from __future__ import annotations
+
+import functools
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,23 +19,18 @@ from hypothesis import strategies as st
 
 from repro.core import DiscoveryEngine
 from repro.datamodel.relation import Federation, Relation
-from repro.exec import ProcessBackend
-from repro.linalg import live_segment_names, shared_memory_available
 from repro.storage import live_mapped_paths
 
-from tests.test_sharding import (
-    QUERIES,
-    SCORE_TOL,
-    assert_same_rankings,
-    make_relation,
-    qualified,
-)
+from tests.crossprocess import run_elsewhere
+from tests.test_sharding import QUERIES, SCORE_TOL, make_relation, qualified
 
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="no shared memory on this platform"
-)
-
+#: Where the engine under test runs: on a backend in this process, or
+#: (``"process"``) in a fresh interpreter.  The library itself starts no
+#: worker processes; the last arm is how a multi-process deployment
+#: would see it.
 BACKENDS = ["inline", "thread", "process"]
+SHARDS = [1, 2, 5]
+METHODS = ["exs", "anns"]
 
 
 def make_engine(executor: str, shards: int = 1) -> DiscoveryEngine:
@@ -51,51 +50,82 @@ def federation(slots) -> Federation:
     return Federation.from_relations([make_relation(s) for s in slots])
 
 
-def assert_same_batches(
-    baseline: DiscoveryEngine, engine: DiscoveryEngine, method: str
-) -> None:
-    want = baseline.search_batch(QUERIES, method=method, k=100, h=-1.0, workers=4)
-    got = engine.search_batch(QUERIES, method=method, k=100, h=-1.0, workers=4)
-    for w, g in zip(want, got):
-        assert [m.relation_id for m in w.matches] == [m.relation_id for m in g.matches]
-        for mw, mg in zip(w.matches, g.matches):
-            assert mg.score == pytest.approx(mw.score, abs=SCORE_TOL)
+def answers(engine: DiscoveryEngine, method: str) -> list:
+    """Every query's ``(relation_id, score)`` list, each query alone and
+    then as one batch."""
+    results = [engine.search(query, method=method, k=100, h=-1.0) for query in QUERIES]
+    results += engine.search_batch(QUERIES, method=method, k=100, h=-1.0, workers=4)
+    return [[(m.relation_id, m.score) for m in result.matches] for result in results]
 
 
-@pytest.mark.parametrize("method", ["exs", "anns"])
-@pytest.mark.parametrize("shards", [1, 2, 5])
+def assert_same_answers(want: list, got: list) -> None:
+    for w, g in zip(want, got, strict=True):
+        assert [rid for rid, _ in w] == [rid for rid, _ in g]
+        for (_, sw), (_, sg) in zip(w, g):
+            assert sg == pytest.approx(sw, abs=SCORE_TOL)
+
+
+def every_arm_answers() -> dict:
+    """Each ``(load, shards, method)`` arm's answers from a thread-backend
+    engine: freshly indexed, and loaded with ``mmap=True`` from a
+    snapshot an inline engine saved."""
+    fed = federation(range(6))
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for shards in SHARDS:
+            snapshot = Path(tmp) / f"snap{shards}"
+            with make_engine("inline", shards=shards).index(fed) as saver:
+                saver.save_index(snapshot)
+            with make_engine("thread", shards=shards).index(fed) as engine:
+                for method in METHODS:
+                    out["fresh", shards, method] = answers(engine, method)
+            with make_engine("thread", shards=shards).load_index(snapshot, mmap=True) as engine:
+                for method in METHODS:
+                    out["mapped", shards, method] = answers(engine, method)
+    return out
+
+
+@functools.cache
+def answers_elsewhere() -> dict:
+    """:func:`every_arm_answers`, computed once in another interpreter."""
+    return run_elsewhere(every_arm_answers)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("shards", SHARDS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fresh_index_identical_across_backends(backend, shards, method):
     fed = federation(range(6))
     with make_engine("inline").index(fed) as baseline:
+        want = answers(baseline, method)
+    if backend == "process":
+        got = answers_elsewhere()["fresh", shards, method]
+    else:
         with make_engine(backend, shards=shards).index(fed) as engine:
-            if backend == "process":
-                assert isinstance(engine.executor, ProcessBackend)
-            assert_same_rankings(baseline, engine, method)
-            assert_same_batches(baseline, engine, method)
+            got = answers(engine, method)
+    assert_same_answers(want, got)
 
 
-@pytest.mark.parametrize("method", ["exs", "anns"])
-@pytest.mark.parametrize("shards", [1, 2, 5])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("shards", SHARDS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mapped_load_identical_across_backends(tmp_path, backend, shards, method):
     """A snapshot loaded with ``mmap=True`` ranks identically to the
-    cold inline build on every backend, allocates no shared memory
-    for the ``mean`` centroid matrix, and ``close()`` unmaps it."""
+    cold inline build wherever the engine runs, and ``close()`` unmaps
+    it."""
     fed = federation(range(6))
     with make_engine("inline").index(fed) as baseline:
+        want = answers(baseline, method)
+    if backend == "process":
+        got = answers_elsewhere()["mapped", shards, method]
+    else:
         with make_engine("inline", shards=shards).index(fed) as saver:
             saver.save_index(tmp_path / "snap")
-        loaded = make_engine(backend, shards=shards).load_index(
-            tmp_path / "snap", mmap=True
-        )
-        with loaded as engine:
-            assert_same_rankings(baseline, engine, method)
-            assert_same_batches(baseline, engine, method)
-            assert not [n for n in live_segment_names()]
+        with make_engine(backend, shards=shards).load_index(tmp_path / "snap", mmap=True) as engine:
+            got = answers(engine, method)
             assert live_mapped_paths()
-    assert not live_mapped_paths()
-    assert not [n for n in live_segment_names()]
+        assert not live_mapped_paths()
+    assert_same_answers(want, got)
 
 
 op_steps = st.lists(
@@ -108,8 +138,8 @@ op_steps = st.lists(
 @settings(max_examples=6, deadline=None)
 @given(
     steps=op_steps,
-    shards=st.sampled_from([1, 2, 5]),
-    backend=st.sampled_from(BACKENDS),
+    shards=st.sampled_from(SHARDS),
+    backend=st.sampled_from(["inline", "thread"]),
 )
 def test_delta_sequences_identical_across_backends(steps, shards, backend):
     """Deltas replayed through a live engine leave every backend
@@ -148,12 +178,8 @@ def test_delta_sequences_identical_across_backends(steps, shards, backend):
                 for eng in (baseline, engine):
                     eng.remove_relations([qualified(slot)])
 
-        assert_same_rankings(baseline, engine, "exs")
-        assert_same_rankings(baseline, engine, "anns")
-        assert_same_batches(baseline, engine, "exs")
-        assert_same_batches(baseline, engine, "anns")
+        for method in METHODS:
+            assert_same_answers(answers(baseline, method), answers(engine, method))
     finally:
         engine.close()
         baseline.close()
-    # A process engine's shared scan buffers must not outlive close().
-    assert not [n for n in live_segment_names()]

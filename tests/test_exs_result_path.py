@@ -3,7 +3,8 @@
 Algorithm 1 as plain loops (float64, count-weighted mean, ``h`` filter,
 ``(-score, relation_id)``, top-k) is the only reference in this file.
 Every way of *scoring* — the GEMM-bounded row-wise centroid scan at
-either query dtype, any backend, any ``shards=`` value — and every way
+either query dtype, either backend or another interpreter, any
+``shards=`` value — and every way
 of *cutting* (k, h, exact ties) is compared with that oracle, never
 pairwise with another engine path; the GEMM filter alone is checked
 against a full row-wise scan on planted near-ties at 60 000 rows.
@@ -11,6 +12,7 @@ against a full row-wise scan on planted near-ties at 60 000 rows.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,7 +24,9 @@ from hypothesis.extra.numpy import arrays
 from repro.core import DiscoveryEngine, ExhaustiveSearch
 from repro.core.results import RelationMatch
 from repro.datamodel.relation import Federation, Relation
-from repro.linalg import rowwise_scores, shared_memory_available
+from repro.linalg import rowwise_scores
+
+from tests.crossprocess import run_elsewhere
 
 #: Queries are quantised to the engine dtype (float32 by default); the
 #: oracle scores in float64.
@@ -108,34 +112,54 @@ def assert_agrees(answer, truth: dict[str, float], cells: dict[str, int], k: int
         assert match.details == {"n_values": cells[match.relation_id]}
 
 
-def check_engine(engine: DiscoveryEngine) -> None:
+def check_engine(engine: DiscoveryEngine) -> list[list[tuple[str, float]]]:
     """``search`` and ``search_batch`` (workers 1 and 3) against the
-    oracle over every k/h corner."""
+    oracle over every k/h corner; returns every answer it checked."""
     store = engine.embeddings
     cells = {r.relation_id: r.n_cells for r in store.relations}
     truths = [oracle_scores(store, query) for query in QUERIES]
     n = store.n_relations
     best = max(max(truth.values()) for truth in truths)
     mid = sorted(truths[0].values())[-5] - 3 * TOL  # keeps the first query's five best
+    checked = []
     for k in (1, 5, n, n + 7):
         for h in (-1.0, 0.0, mid, best + 0.1):
-            for query, truth in zip(QUERIES, truths):
-                assert_agrees(engine.search(query, method="exs", k=k, h=h), truth, cells, k, h)
+            answers = [engine.search(query, method="exs", k=k, h=h) for query in QUERIES]
             for workers in (1, 3):
                 batch = engine.search_batch(QUERIES, method="exs", k=k, h=h, workers=workers)
-                for answer, truth in zip(batch, truths):
-                    assert_agrees(answer, truth, cells, k, h)
                 if h > best:
                     assert [len(answer) for answer in batch] == [0] * len(QUERIES)
+                answers += batch
+            for answer, truth in zip(answers, truths * 3):
+                assert_agrees(answer, truth, cells, k, h)
+            checked += [[(m.relation_id, m.score) for m in answer] for answer in answers]
+    return checked
 
 
 def make_engine(shards=1, executor="inline", dtype=np.float32) -> DiscoveryEngine:
     return DiscoveryEngine(dim=48, shards=shards, executor=executor, dtype=dtype)
 
 
-needs_shared_memory = pytest.mark.skipif(
-    not shared_memory_available(), reason="no shared memory on this platform"
-)
+def checked_answers(shards: int, executor: str, float64: bool) -> list:
+    """:func:`check_engine` on a freshly indexed engine."""
+    with make_engine(shards, executor, dtype=np.float64 if float64 else np.float32) as engine:
+        engine.index(federation())
+        return check_engine(engine)
+
+
+def every_arm_checked() -> dict:
+    return {
+        (shards, float64): checked_answers(shards, "thread", float64)
+        for shards in (1, 2, 5)
+        for float64 in (True, False)
+    }
+
+
+@functools.cache
+def checked_elsewhere() -> dict:
+    """:func:`every_arm_checked` once, in another interpreter under
+    ``PYTHONHASHSEED=1``: it checks the oracle there too."""
+    return run_elsewhere(every_arm_checked)
 
 
 # -- every fill x every cut, against the oracle --------------------------------
@@ -143,17 +167,18 @@ needs_shared_memory = pytest.mark.skipif(
 
 @pytest.mark.parametrize("aggregate", ["mean"])
 @pytest.mark.parametrize("float64", [True, False])
-@pytest.mark.parametrize(
-    "executor", ["inline", "thread", pytest.param("process", marks=needs_shared_memory)]
-)
+@pytest.mark.parametrize("executor", ["inline", "thread", "process"])
 @pytest.mark.parametrize("shards", [1, 2, 5])
 def test_every_path_agrees_with_oracle(shards, executor, float64, aggregate):
     """``float64`` picks the engine dtype: float64 queries, or the
-    float32 default.  ``aggregate`` is the paper's mean, the only one."""
-    dtype = np.float64 if float64 else np.float32
-    with make_engine(shards, executor, dtype=dtype) as engine:
-        engine.index(federation())
-        check_engine(engine)
+    float32 default.  ``aggregate`` is the paper's mean, the only one.
+    ``"process"`` is a thread-backend engine in another interpreter: it
+    must agree with the oracle there, and with this process bit for
+    bit."""
+    if executor == "process":
+        assert checked_elsewhere()[shards, float64] == checked_answers(shards, "inline", float64)
+    else:
+        checked_answers(shards, executor, float64)
 
 
 @pytest.mark.parametrize("shards", [1, 2, 5])

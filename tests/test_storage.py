@@ -3,8 +3,8 @@
 Covers the format contract end to end: atomic commits with the
 manifest as the commit point, epoch-prefixed payloads surviving
 re-commits under live mappings, both integrity strengths (stat-check at
-open, crc32 on eager reads), mapped-buffer refcounting and leak
-accounting, and the quarantined legacy-npz shims.
+open, crc32 on eager reads), mapped-buffer leak accounting, and the
+quarantined legacy-npz shims.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 from repro.errors import StorageError
 from repro.obs import MetricsRegistry
 from repro.storage import (
-    MappedBuffer,
     SegmentWriter,
     is_snapshot,
     live_mapped_nbytes,
@@ -182,11 +181,6 @@ class TestMappedBuffer:
         buffer = snap.mapped("vectors")
         np.testing.assert_array_equal(buffer.array, snap.array("vectors"))
         assert not buffer.array.flags.writeable
-        spec = buffer.spec()
-        assert spec.kind == "mmap"
-        attached = MappedBuffer.attach(spec)
-        np.testing.assert_array_equal(attached.array, buffer.array)
-        attached.close()
         buffer.close()
 
     def test_empty_array_maps_without_a_file_mapping(self, tmp_path):
@@ -203,10 +197,7 @@ class TestMappedBuffer:
         buffer = snap.mapped("vectors")
         assert live_mapped_paths() == [str(buffer.path)]
         assert live_mapped_nbytes() == buffer.nbytes > 0
-        ref = buffer.addref()
-        buffer.close()  # one ref still out
-        assert live_mapped_paths() == [str(buffer.path)]
-        ref.close()
+        buffer.close()
         assert not live_mapped_paths()
         assert live_mapped_nbytes() == 0
 
@@ -216,8 +207,7 @@ class TestMappedBuffer:
         buffer.close()
         with pytest.raises(ValueError):
             _ = buffer.array
-        with pytest.raises(ValueError):
-            buffer.addref()
+        assert buffer.closed
         buffer.close()  # idempotent
 
     def test_truncation_fails_at_map_time(self, tmp_path, rng):
@@ -227,10 +217,3 @@ class TestMappedBuffer:
         seg.write_bytes(seg.read_bytes()[:-4])
         with pytest.raises(StorageError, match="torn"):
             snap.mapped("vectors")
-
-    def test_attach_rejects_shm_spec(self):
-        from repro.linalg.sharedbuf import BufferSpec
-
-        spec = BufferSpec(name="x", shape=(1,), dtype="<f4", kind="shm")
-        with pytest.raises(ValueError):
-            MappedBuffer.attach(spec)
