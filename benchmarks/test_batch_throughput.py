@@ -1,10 +1,9 @@
-"""Micro-benchmark: sequential vs batched vs multi-worker serving.
+"""Micro-benchmark: sequential vs batched serving.
 
 Not a paper artifact — this measures the serving layer the reproduction
 adds on top of the paper's algorithms: ``search_batch`` amortizes query
 encoding, locking and dispatch over one row-wise ExS scan of the whole
-query block, and ``workers=4`` is accepted (an ExS scan is one kernel
-call, so there is nothing to spread).
+query block.
 
 Run with ``pytest benchmarks/test_batch_throughput.py --benchmark-only``
 for queries/sec numbers; the plain assertion test guards the speedup
@@ -62,13 +61,6 @@ def test_throughput_sequential(benchmark, batch_engine, batch_queries):
 def test_throughput_batched(benchmark, batch_engine, batch_queries):
     results = benchmark(
         lambda: batch_engine.search_batch(batch_queries, method="exs", k=K)
-    )
-    assert len(results) == len(batch_queries)
-
-
-def test_throughput_batched_workers4(benchmark, batch_engine, batch_queries):
-    results = benchmark(
-        lambda: batch_engine.search_batch(batch_queries, method="exs", k=K, workers=4)
     )
     assert len(results) == len(batch_queries)
 

@@ -21,8 +21,8 @@ encoding the real invariants:
 * **RL004 concurrency hygiene** — no raw ``threading.Lock`` beside an
   RWLock, no ``except Exception: pass``, no mutable class defaults.
 * **RL005 executor construction** — raw ``ThreadPoolExecutor`` only
-  inside :mod:`repro.exec`; every other parallel site runs on the
-  engine's :class:`~repro.exec.ExecutionBackend`.
+  inside :mod:`repro.exec`; every other parallel site runs on an
+  :class:`~repro.exec.ExecutionBackend`.
 * **RL006 raw array persistence** — ``np.save`` / ``np.load`` /
   ``np.memmap`` and friends only inside :mod:`repro.storage`; every
   other persistence path goes through the checksummed, atomically

@@ -42,7 +42,6 @@ __all__ = ["CallGraph", "CallSite", "FunctionInfo", "ModuleSummary", "summarize_
 #: ``with`` items treated as taking the lifecycle lock, by mode.
 _LOCK_ENTER_MODES: Mapping[str, str] = {
     "read": "read",
-    "read_lock": "read",
     "write": "write",
 }
 
@@ -169,7 +168,7 @@ def _requires_lock(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> str | None
 
 
 def _withitem_lock_mode(item: ast.withitem) -> str | None:
-    """``<expr>.read()`` / ``.write()`` / ``.read_lock()`` as a with item."""
+    """``<expr>.read()`` / ``.write()`` as a with item."""
     ctx = item.context_expr
     if isinstance(ctx, ast.Call) and isinstance(ctx.func, ast.Attribute):
         return _LOCK_ENTER_MODES.get(ctx.func.attr)

@@ -137,7 +137,6 @@ _BLOCKING_ATTR_CALLS = frozenset(
         "write_bytes",
         "acquire_read",
         "acquire_write",
-        "read_lock",
         "map",
         "cosine_similarity",
         "gemm_candidates",
@@ -146,13 +145,11 @@ _BLOCKING_ATTR_CALLS = frozenset(
         "adc_scores_batch",
         "search",
         "search_batch",
-        "search_batch_locked",
-        "search_all_methods",
     }
 )
 
 #: Lock-entry names that block only when used as a ``with`` item.
-_BLOCKING_WITH_ITEMS = frozenset({"read", "write", "read_lock"})
+_BLOCKING_WITH_ITEMS = frozenset({"read", "write"})
 
 #: Bare (imported-name) calls that block: the GEMM entry points and the
 #: module-level storage round-trips are imported, not attribute calls.

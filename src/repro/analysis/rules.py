@@ -544,7 +544,7 @@ class ConcurrencyHygieneRule(Rule):
 class ExecutorConstructionRule(Rule):
     """RL005: thread pools are constructed only in ``repro.exec``.
 
-    Every parallel site runs on the engine's
+    Every parallel site runs on an
     :class:`~repro.exec.ExecutionBackend`; a raw ``ThreadPoolExecutor``
     constructed anywhere else resurrects the per-call pool churn the
     execution layer exists to end — pools that

@@ -4,33 +4,16 @@ from __future__ import annotations
 
 import abc
 import time
-import weakref
 from collections.abc import Iterable, Sequence
 
 from repro.core.annotations import requires_lock
 from repro.core.results import BatchResult, RelationMatch, SearchResult
 from repro.core.semimg import FederationEmbeddings, RelationEmbedding
 from repro.errors import NotFittedError
-from repro.exec import ExecutionBackend, resolve_backend
 from repro.obs import MetricsRegistry
 from repro.sanitize import sanitize_enabled
 
-__all__ = ["SearchMethod", "even_chunks"]
-
-
-def even_chunks(n_items: int, n_chunks: int) -> list[range]:
-    """Split ``range(n_items)`` into up to ``n_chunks`` contiguous,
-    near-equal ranges (empty ranges are dropped)."""
-    n_chunks = max(1, min(n_chunks, n_items))
-    base, extra = divmod(n_items, n_chunks)
-    chunks: list[range] = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < extra else 0)
-        if size:
-            chunks.append(range(start, start + size))
-        start += size
-    return chunks
+__all__ = ["SearchMethod"]
 
 
 class SearchMethod(abc.ABC):
@@ -60,10 +43,6 @@ class SearchMethod(abc.ABC):
     def __init__(self) -> None:
         self._embeddings: FederationEmbeddings | None = None
         self.metrics = MetricsRegistry()
-        #: Injected execution backend (an engine's); ``None`` means the
-        #: method lazily creates one of its own on first parallel call.
-        self._executor: ExecutionBackend | None = None
-        self._owned_executor: ExecutionBackend | None = None
         #: When true, kernel boundaries guard operands for NaN/Inf and
         #: dtype mismatches (see :mod:`repro.sanitize`).  Defaults to
         #: the ``REPRO_SANITIZE`` environment switch; a
@@ -81,38 +60,9 @@ class SearchMethod(abc.ABC):
     def is_indexed(self) -> bool:
         return self._embeddings is not None
 
-    # -- execution ---------------------------------------------------------
-
-    @property
-    def executor(self) -> ExecutionBackend:
-        """The execution backend running this method's parallel work."""
-        return self._backend()
-
-    @executor.setter
-    def executor(self, backend: ExecutionBackend) -> None:
-        """Inject a shared backend (a
-        :class:`~repro.core.engine.DiscoveryEngine`'s); the injector
-        owns its lifecycle, :meth:`close` here will not touch it."""
-        self._executor = backend
-
-    def _backend(self) -> ExecutionBackend:
-        if self._executor is not None:
-            return self._executor
-        if self._owned_executor is None:
-            owned = resolve_backend(None, metrics=self.metrics)
-            # Standalone methods are rarely close()-d explicitly; tie
-            # the pool's release to this method's garbage collection.
-            weakref.finalize(self, owned.close)
-            self._owned_executor = owned
-        return self._owned_executor
-
     def close(self) -> None:
-        """Release resources this method owns: a self-created backend
-        and (in subclasses) index storage.  An injected backend is the
-        injector's to close.  Idempotent."""
-        owned, self._owned_executor = self._owned_executor, None
-        if owned is not None:
-            owned.close()
+        """Release resources this method owns (index storage, in
+        subclasses).  Idempotent."""
 
     def index(self, embeddings: FederationEmbeddings) -> "SearchMethod":
         """Build this method's data structures over the federation."""
@@ -219,32 +169,13 @@ class SearchMethod(abc.ABC):
         return [self._score_all(query) for query in queries]
 
     def _top_k_batch(
-        self, queries: Sequence[str], k: int, h: float, workers: int = 1
+        self, queries: Sequence[str], k: int, h: float
     ) -> list[list[RelationMatch]]:
-        """:meth:`_top_k` for a whole batch, one ranked list per query.
-
-        ``workers > 1`` chunks the *queries* over the backend: the
-        kernels are NumPy-bound and release the GIL inside BLAS, so the
-        default thread backend gives real parallelism.
-        (ExhaustiveSearch scans every relation in one kernel call and
-        ignores ``workers``.)
-        """
-        chunks = even_chunks(len(queries), workers)
-        if len(chunks) < 2:
-            scored = self._score_batch(queries)
-        else:
-            parts = self._backend().map(
-                lambda c: self._score_batch([queries[i] for i in c]), chunks, cap=workers
-            )
-            scored = [matches for part in parts for matches in part]
-        return [self._finalize(matches, k, h) for matches in scored]
+        """:meth:`_top_k` for a whole batch, one ranked list per query."""
+        return [self._finalize(matches, k, h) for matches in self._score_batch(queries)]
 
     def search_batch(
-        self,
-        queries: Iterable[str],
-        k: int = 10,
-        h: float = 0.0,
-        workers: int = 1,
+        self, queries: Iterable[str], k: int = 10, h: float = 0.0
     ) -> BatchResult:
         """Answer many queries in one call, amortizing shared work.
 
@@ -252,11 +183,8 @@ class SearchMethod(abc.ABC):
         queries]`` — same rankings, same scores up to BLAS reduction
         order — but the batched kernels encode all queries up front and
         scan the federation with matrix-matrix instead of matrix-vector
-        products.  ``workers > 1`` additionally spreads the scan over a
-        thread pool.
+        products.
         """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if k < 0:
             raise ValueError("k must be >= 0")
         queries = list(queries)
@@ -268,7 +196,7 @@ class SearchMethod(abc.ABC):
         if not queries:
             return BatchResult([], elapsed_ms=0.0)
         start = time.perf_counter()
-        per_query = self._top_k_batch(queries, k, h, workers)
+        per_query = self._top_k_batch(queries, k, h)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         amortized_ms = elapsed_ms / len(queries)
         self.metrics.histogram(f"{self.name}.batch_ms").observe(elapsed_ms)

@@ -10,9 +10,9 @@ incremental lifecycle: :meth:`add_relations`, :meth:`update_relations`
 and :meth:`remove_relations` thread one delta through the semantic
 store and every built method index atomically.  Mutations take the
 writer side of a readers-writer lock while searches take the reader
-side, so queries in flight — including batches spread over ``workers >
-1`` thread pools — always observe a complete generation, never a torn
-one.
+side, so queries in flight — including the windows the serving layer
+runs on its dispatch threads — always observe a complete generation,
+never a torn one.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import time
 import weakref
 
 import numpy as np
-from collections.abc import Iterable, Mapping, Sequence
-from contextlib import AbstractContextManager
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -106,17 +105,16 @@ class DiscoveryEngine:
         one index over the whole federation, whatever the value.  ExS
         scores one centroid row per relation, and a row's score does
         not depend on where the row sits, so partitioning could only
-        add work.
+        add work.  Kept because the frozen perf ledger (``bench/``)
+        passes it.
     executor:
-        The execution backend running every parallel site (the
-        ``workers > 1`` query fan-outs).  Pass a backend name
-        (``"inline"`` / ``"thread"``), a ready
+        Idle: no search path runs work on it; it stays because the
+        frozen perf ledger (``bench/``) passes and reads it.  Pass a
+        backend name (``"inline"`` / ``"thread"``), a ready
         :class:`~repro.exec.ExecutionBackend` instance (the caller then
-        owns its lifecycle), or ``None`` to defer to the
-        ``REPRO_EXECUTOR`` environment variable (default ``thread``).
-        No backend starts a worker process: every method scans in the
-        calling process.  The engine closes a backend it created itself
-        at :meth:`close`.
+        owns its lifecycle), or ``None`` for ``"thread"``.  Every method
+        scans on the calling thread.  The engine closes a backend it
+        created itself at :meth:`close`.
     sanitize:
         Arm the runtime sanitizers: the lifecycle lock becomes an
         :class:`~repro.core.lifecycle.InstrumentedRWLock` (raises on
@@ -184,7 +182,7 @@ class DiscoveryEngine:
         #: Semantic query-result cache above the methods; ``None`` when
         #: caching is off (the default — ``REPRO_QUERY_CACHE`` opts in).
         self.query_cache = resolve_query_cache(query_cache, metrics=self.metrics)
-        #: One backend for every parallel site; ``exec.*`` metrics land
+        #: Idle backend kept for :attr:`executor`; ``exec.*`` metrics land
         #: in the shared registry.  Owned iff the engine resolved it
         #: from a name (an injected instance is the caller's to close).
         self._owns_executor = not isinstance(executor, ExecutionBackend)
@@ -389,18 +387,13 @@ class DiscoveryEngine:
             f"unknown method {name!r}; expected one of {self.METHODS}"
         )
 
-    def _configure_method(self, method: SearchMethod) -> SearchMethod:
-        """Inject the engine-level cross-cutting knobs into a method."""
-        method.sanitize = self.sanitize
-        method.executor = self._executor
-        return method
-
     def method(self, name: str) -> SearchMethod:
         """Get (building if needed) a search method's index."""
         if name not in self._methods:
             with self._build_lock:
                 if name not in self._methods:
-                    method = self._configure_method(self._make_method(name))
+                    method = self._make_method(name)
+                    method.sanitize = self.sanitize
                     # Share the engine's registry BEFORE index() so
                     # index-time structures (vector-db collections)
                     # report into it too.
@@ -431,13 +424,14 @@ class DiscoveryEngine:
 
     @property
     def executor(self) -> ExecutionBackend:
-        """The backend running this engine's parallel work."""
+        """The engine's idle backend; kept because the frozen perf
+        ledger (``bench/``) reads its ``exec.*`` metrics."""
         return self._executor
 
     @requires_lock("write")
     def _close_methods(self) -> None:
         """Close and drop every built method (caller holds the write
-        lock): pools owned by standalone methods shut down."""
+        lock)."""
         lockset.write(self, "_methods", policy="anylock")
         for method in self._methods.values():
             method.close()
@@ -593,90 +587,24 @@ class DiscoveryEngine:
 
         return CacheSignature(method=method, k=k, h=h)
 
-    def search(
-        self, query: str, method: str = "cts", k: int = 10, h: float = 0.0
-    ) -> SearchResult:
-        """Answer a keyword query with the chosen algorithm."""
-        with self._lifecycle_lock.read():
-            self.metrics.counter("engine.queries").inc()
-            cache = self.query_cache
-            if cache is None:
-                return self.method(method).search(query, k=k, h=h)
-            signature = self._signature(method, k, h)
-            hit = cache.lookup(
-                signature, query, encode=lambda: self._query_vector(query)
-            )
-            if hit is not None:
-                return hit.as_result(query, method)
-            result = self.method(method).search(query, k=k, h=h)
-            cache.insert(
-                signature,
-                query,
-                self._query_vector(query),
-                result.matches,
-                self.embeddings.generation,
-            )
-            return result
-
-    def search_batch(
-        self,
-        queries: Iterable[str],
-        method: str = "cts",
-        k: int = 10,
-        h: float = 0.0,
-        workers: int = 1,
-    ) -> BatchResult:
-        """Answer many queries in one call, amortizing shared work.
-
-        Rankings and scores are element-wise equivalent to calling
-        :meth:`search` per query; the batched kernels encode the whole
-        block up front, scan it with matrix-matrix products (ExS),
-        batch candidate retrieval (ANNS) or medoid routing (CTS), and
-        — with ``workers > 1`` — spread the scan over a thread pool.
-        Per-stage latencies land in :attr:`metrics`.
-        """
-        queries = list(queries)
-        with self._lifecycle_lock.read():
-            return self.search_batch_locked(queries, method=method, k=k, h=h, workers=workers)
-
-    # -- serving hooks ----------------------------------------------------
-
-    def read_lock(self) -> "AbstractContextManager[None]":
-        """The reader side of the lifecycle lock, for external dispatchers.
-
-        The serving layer runs each coalesced window on an executor
-        thread; wrapping the window in ``with engine.read_lock():``
-        around :meth:`search_batch_locked` makes it synchronize with
-        writer deltas exactly like a direct :meth:`search_batch` call —
-        one complete federation generation per window, no new locks.
-        """
-        return self._lifecycle_lock.read()
-
     @requires_lock("read")
-    def search_batch_locked(
+    def _through_cache(
         self,
         queries: Sequence[str],
-        method: str = "cts",
-        k: int = 10,
-        h: float = 0.0,
-        workers: int = 1,
-    ) -> BatchResult:
-        """:meth:`search_batch` body for callers already holding
-        :meth:`read_lock` (the serving dispatch path, which may bracket
-        several windows under one acquisition).
+        method: str,
+        k: int,
+        h: float,
+        run: Callable[[list[str]], Sequence[SearchResult]],
+    ) -> list[SearchResult]:
+        """Answer ``queries`` through the query cache.
 
-        With a query cache, the batch partitions into hits and misses:
-        hits replay their cached rankings, the misses dispatch as ONE
-        residual ``search_batch`` (an all-hit batch never reaches the
-        method, so ``<method>.batches`` stays put), and the fresh
-        answers backfill both the result and the cache.
+        Hits replay their cached rankings; the misses go to ``run`` as
+        ONE call (an all-hit batch never reaches the method, so
+        ``<method>.batches`` stays put), and its fresh answers backfill
+        both the result and the cache.
         """
-        self.metrics.counter("engine.queries").inc(len(queries))
-        self.metrics.counter("engine.batches").inc()
         cache = self.query_cache
-        if cache is None or not queries:
-            return self.method(method).search_batch(queries, k=k, h=h, workers=workers)
-        started = time.perf_counter()
+        assert cache is not None
         signature = self._signature(method, k, h)
         results: "list[SearchResult | None]" = [None] * len(queries)
         missing: list[int] = []
@@ -689,19 +617,57 @@ class DiscoveryEngine:
             else:
                 results[i] = hit.as_result(query, method)
         if missing:
-            residual = self.method(method).search_batch(
-                [queries[i] for i in missing], k=k, h=h, workers=workers
-            )
+            fresh = run([queries[i] for i in missing])
             generation = self.embeddings.generation
-            for i, fresh in zip(missing, residual):
-                results[i] = fresh
+            for i, result in zip(missing, fresh):
+                results[i] = result
                 cache.insert(
                     signature, queries[i], self._query_vector(queries[i]),
-                    fresh.matches, generation,
+                    result.matches, generation,
                 )
         filled = [result for result in results if result is not None]
         assert len(filled) == len(queries)
-        return BatchResult(filled, elapsed_ms=(time.perf_counter() - started) * 1000.0)
+        return filled
+
+    def search(
+        self, query: str, method: str = "cts", k: int = 10, h: float = 0.0
+    ) -> SearchResult:
+        """Answer a keyword query with the chosen algorithm."""
+        with self._lifecycle_lock.read():
+            self.metrics.counter("engine.queries").inc()
+            if self.query_cache is None:
+                return self.method(method).search(query, k=k, h=h)
+            (result,) = self._through_cache(
+                [query], method, k, h,
+                lambda missed: [self.method(method).search(missed[0], k=k, h=h)],
+            )
+            return result
+
+    def search_batch(
+        self, queries: Iterable[str], method: str = "cts", k: int = 10, h: float = 0.0
+    ) -> BatchResult:
+        """Answer many queries in one call, amortizing shared work.
+
+        Rankings and scores are element-wise equivalent to calling
+        :meth:`search` per query; the batched kernels encode the whole
+        block up front and scan it with matrix-matrix products (ExS),
+        batch candidate retrieval (ANNS) or medoid routing (CTS).  The
+        whole batch runs under one reader-lock acquisition, so it
+        observes one complete federation generation.  Per-stage
+        latencies land in :attr:`metrics`.
+        """
+        queries = list(queries)
+        with self._lifecycle_lock.read():
+            self.metrics.counter("engine.queries").inc(len(queries))
+            self.metrics.counter("engine.batches").inc()
+            if self.query_cache is None or not queries:
+                return self.method(method).search_batch(queries, k=k, h=h)
+            started = time.perf_counter()
+            results = self._through_cache(
+                queries, method, k, h,
+                lambda missed: self.method(method).search_batch(missed, k=k, h=h),
+            )
+            return BatchResult(results, elapsed_ms=(time.perf_counter() - started) * 1000.0)
 
     def serving(self, **kwargs: Any) -> "ServingEngine":
         """An async micro-batching front end over this engine.
@@ -714,19 +680,3 @@ class DiscoveryEngine:
         from repro.serving import ServingEngine
 
         return ServingEngine(self, **kwargs)
-
-    def search_all_methods(
-        self, query: str, k: int = 10, h: float = 0.0
-    ) -> dict[str, SearchResult]:
-        """Run the same query through ExS, ANNS and CTS (for comparisons).
-
-        The read lock is held once across all three methods, so every
-        result reflects the same federation generation — a concurrent
-        delta can never land between the ExS and the CTS run.
-        """
-        with self._lifecycle_lock.read():
-            results: dict[str, SearchResult] = {}
-            for name in self.METHODS:
-                self.metrics.counter("engine.queries").inc()
-                results[name] = self.method(name).search(query, k=k, h=h)
-            return results

@@ -219,10 +219,8 @@ class ExhaustiveSearch(SearchMethod):
         return self._top_k_batch([query], k, h)[0]
 
     def _top_k_batch(
-        self, queries: Sequence[str], k: int, h: float, workers: int = 1
+        self, queries: Sequence[str], k: int, h: float
     ) -> list[list[RelationMatch]]:
-        # One GEMM bounds every relation, so ``workers`` has nothing to
-        # fan out here.
         scanned = self._scan(self._encode_block(queries), k, h)
         return self.rank_survivors(*scanned, len(queries), k, h)
 

@@ -1,7 +1,7 @@
 """Concurrency primitives for the incremental federation lifecycle.
 
 Serving and mutation share one :class:`DiscoveryEngine`: query batches
-may be in flight on ``workers > 1`` thread pools while a delta
+may be in flight on the serving layer's dispatch threads while a delta
 (add / update / remove relations) arrives.  The engine guards both
 sides with a :class:`RWLock` — any number of concurrent readers
 (searches) or exactly one writer (a delta) — so a query always sees a

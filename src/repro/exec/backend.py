@@ -1,9 +1,9 @@
 """Execution backends: the library's one place to run parallel work.
 
-Every parallel site in the library — the query-chunk fan-out in
-``repro.core.base`` and the serving dispatch executor — submits to an
-:class:`ExecutionBackend` instead of constructing its own pool (RL005
-lints exactly that).  Two implementations share the surface:
+The library's one parallel site — the serving dispatch executor —
+submits to an :class:`ExecutionBackend` instead of constructing its
+own pool (RL005 lints exactly that).  Two implementations share the
+surface:
 
 * :class:`InlineBackend` — serial execution on the calling thread;
   zero concurrency, maximal determinism, the reference the equivalence
@@ -11,7 +11,7 @@ lints exactly that).  Two implementations share the surface:
 * :class:`ThreadBackend` — one persistent, lazily created thread pool
   reused across calls (the kernels release the GIL inside BLAS, so
   threads give real parallelism without pickling indexes), with
-  per-call ``cap`` clamping so a caller's ``workers=`` bound holds
+  per-call ``cap`` clamping so a caller's concurrency bound holds
   without resizing the pool.
 
 The library starts no worker processes: every search method scans in
@@ -21,9 +21,8 @@ Backends record ``exec.*`` metrics into the registry they are built
 with: per-backend task counters, pool-size gauges and submit-to-start
 queue timers.
 
-:func:`resolve_backend` picks the default from the ``REPRO_EXECUTOR``
-environment variable (``inline`` / ``thread``; unset means ``thread``),
-which is how the CI matrix re-runs the concurrency suites per backend.
+:func:`resolve_backend` maps a name (``inline`` / ``thread``; ``None``
+means ``thread``) to a backend.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.errors import ConfigurationError, ExecutionError
 from repro.obs import MetricsRegistry
 
 __all__ = [
-    "EXECUTOR_ENV",
     "ExecutionBackend",
     "InlineBackend",
     "ThreadBackend",
@@ -51,15 +49,11 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment variable naming the default backend for
-#: :func:`resolve_backend` callers that don't choose one explicitly.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
 
 def default_pool_size() -> int:
     """Pool width when the caller doesn't size one: the machine's
-    cores, floored at 2 (so ``workers > 1`` means something everywhere)
-    and capped at 32 (beyond which scatter width stops paying)."""
+    cores, floored at 2 (so a pool is parallel everywhere) and capped
+    at 32 (beyond which scatter width stops paying)."""
     return max(2, min(32, os.cpu_count() or 1))
 
 
@@ -123,7 +117,8 @@ class InlineBackend(ExecutionBackend):
 
     No pool, no reordering, no cross-thread BLAS nondeterminism — the
     reference backend the property tests compare everything against,
-    and the right choice for debugging and single-core machines.
+    and the right choice for debugging and single-core machines.  Kept
+    because the frozen perf ledger (``bench/``) subclasses it.
     """
 
     name = "inline"
@@ -159,11 +154,12 @@ class ThreadBackend(ExecutionBackend):
 
     Replaces the historical fresh-``ThreadPoolExecutor``-per-call
     churn: the pool is created lazily on first real fan-out and lives
-    until :meth:`close`.  A caller's ``workers=`` bound is honored by
-    *lanes*, not pool resizing — :meth:`map` runs at most ``min(cap,
-    pool_size, len(items))`` concurrent lanes, lane ``i`` serially
-    draining ``items[i::lanes]``, so concurrency never exceeds the cap
-    even when the pool is wider.
+    until :meth:`close`.  A caller's ``cap`` is honored by *lanes*, not
+    pool resizing — :meth:`map` runs at most ``min(cap, pool_size,
+    len(items))`` concurrent lanes, lane ``i`` serially draining
+    ``items[i::lanes]``, so concurrency never exceeds the cap even when
+    the pool is wider.  :meth:`map` stays because the frozen perf ledger
+    (``bench/``) subclasses this backend and calls it.
     """
 
     name = "thread"
@@ -270,13 +266,11 @@ def resolve_backend(
 
     ``spec`` is a backend instance (returned untouched — the caller
     does not own it and must not close it), a backend name (``inline``
-    / ``thread``), or ``None`` to consult the ``REPRO_EXECUTOR``
-    environment variable and default to ``thread``.
+    / ``thread``), or ``None`` for ``thread``.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
-    chosen = spec if spec is not None else os.environ.get(EXECUTOR_ENV, "")
-    chosen = chosen.strip().lower() or "thread"
+    chosen = (spec or "").strip().lower() or "thread"
     if chosen == "inline":
         return InlineBackend(metrics)
     if chosen == "thread":

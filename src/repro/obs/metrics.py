@@ -12,8 +12,8 @@ layer records into the same vocabulary:
   timers named ``<method>.<stage>`` for the stages ``encode`` /
   ``scan`` / ``route`` / ``rank``.
 
-All classes are thread-safe: the batched search paths score chunks on a
-thread pool, and every chunk reports into the shared registry.
+All classes are thread-safe: concurrent callers and the serving
+layer's dispatch threads all report into the shared registry.
 """
 
 from __future__ import annotations

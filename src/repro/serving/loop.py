@@ -18,8 +18,8 @@ service for concurrent single-query traffic:
 Threading model: all serving state (windows, timers, accounting) is
 confined to the event-loop thread.  Only the engine call crosses
 threads, and it synchronizes exactly like every other engine reader —
-through the lifecycle RWLock — so serving dispatch, ``workers > 1``
-batch pools and writer deltas compose without any new locking.
+through the lifecycle RWLock — so serving dispatch and writer deltas
+compose without any new locking.
 :meth:`drain` stops intake, flushes every window, and awaits in-flight
 dispatches; a delta landing mid-drain simply serializes with those
 reads (writer preference bounds its wait by the in-flight windows).
@@ -71,18 +71,15 @@ class ServingEngine:
     dispatch_workers:
         Threads running engine calls; >1 lets windows for different
         keys overlap (each window is still one engine call).
-    batch_workers:
-        ``workers=`` forwarded to ``search_batch`` inside a window
-        (the engine-side scan pool).
     executor:
         The :class:`~repro.exec.ExecutionBackend` running window
         dispatches.  ``None`` (default) lazily resolves a dedicated
-        backend sized to ``dispatch_workers`` — dedicated on purpose:
-        a dispatch task *blocks* on the engine's scan fan-out, so
-        sharing the engine's pool could queue a window behind the very
-        lane work it is waiting for.  Pass a backend to override; the
-        caller then owns its lifecycle (:meth:`drain` only closes a
-        backend serving created itself).
+        thread backend — dedicated on purpose: its pool is sized by
+        ``dispatch_workers``, and the engine's own backend may be
+        ``inline``, which would run every scan on the event-loop
+        thread.  Pass a backend to override; the caller then owns its
+        lifecycle (:meth:`drain` only closes a backend serving created
+        itself).
     default_limit / tenant_limits:
         Optional per-tenant token buckets
         (:class:`~repro.serving.tenancy.RateLimit`); ``None`` default
@@ -103,18 +100,14 @@ class ServingEngine:
         max_batch: int = 32,
         max_queue: int = 256,
         dispatch_workers: int = 2,
-        batch_workers: int = 1,
         executor: ExecutionBackend | None = None,
         default_limit: RateLimit | None = None,
         tenant_limits: "dict[str, RateLimit] | None" = None,
     ) -> None:
         if dispatch_workers < 1:
             raise ConfigurationError("dispatch_workers must be >= 1")
-        if batch_workers < 1:
-            raise ConfigurationError("batch_workers must be >= 1")
         self.engine = engine
         self.metrics = engine.metrics
-        self.batch_workers = batch_workers
         self.dispatch_workers = dispatch_workers
         self.admission = AdmissionController(
             max_queue=max_queue,
@@ -149,9 +142,9 @@ class ServingEngine:
         if self._state == "idle":
             self._loop = loop
             if self._executor is None:
-                # Dedicated, not the engine's: a dispatch task blocks on
-                # the engine-side scan fan-out, and sharing one pool
-                # would let windows queue behind their own lane work.
+                # Dedicated, not the engine's: this pool is sized by
+                # dispatch_workers, and the engine's backend may be
+                # inline, which would scan on the event-loop thread.
                 self._executor = resolve_backend(
                     "thread", max_workers=self.dispatch_workers, metrics=self.metrics
                 )
@@ -332,20 +325,12 @@ class ServingEngine:
     def _run_batch(self, key: BatchKey, requests: "list[PendingRequest]") -> BatchResult:
         """One engine call per window (executor thread).
 
-        Takes the engine's reader lock around the locked batch entry
-        point, exactly like a direct ``search_batch`` caller — the
+        ``engine.search_batch`` takes the reader lock once, so the
         whole window observes one complete federation generation.
         """
         queries = [request.query for request in requests]
         with self.metrics.timer("serving.dispatch_ms"):
-            with self.engine.read_lock():
-                return self.engine.search_batch_locked(
-                    queries,
-                    method=key.method,
-                    k=key.k,
-                    h=key.h,
-                    workers=self.batch_workers,
-                )
+            return self.engine.search_batch(queries, method=key.method, k=key.k, h=key.h)
 
     def _deliver(
         self,

@@ -1,4 +1,5 @@
-"""Batched serving: equivalence with sequential search, workers, metrics.
+"""Batched serving: equivalence with sequential search, concurrent
+callers, metrics.
 
 The contract under test is the one the engine promises: for every
 method, ``search_batch(qs)`` ranks exactly the relations that
@@ -18,6 +19,7 @@ import numpy as np
 
 from repro.core.engine import DiscoveryEngine
 from repro.core.results import BatchResult, same_ranking
+from repro.exec import ThreadBackend
 
 METHODS = ("exs", "anns", "cts")
 
@@ -68,18 +70,24 @@ query_lists = st.lists(
 )
 
 
-def assert_batch_matches_sequential(engine, queries, method, k=10, h=0.0, workers=1):
+def assert_batch_matches_sequential(engine, queries, method, k=10, h=0.0, callers=1):
+    """``callers > 1`` issues the same batch from that many threads at
+    once; every one of them must answer like the sequential loop."""
     tol = score_tol(engine)
     sequential = [engine.search(q, method=method, k=k, h=h) for q in queries]
-    batched = engine.search_batch(queries, method=method, k=k, h=h, workers=workers)
-    assert len(batched) == len(sequential)
-    for seq, bat in zip(sequential, batched):
-        assert bat.query == seq.query
-        assert bat.method == seq.method
-        assert bat.relation_ids() == seq.relation_ids()
-        for m_seq, m_bat in zip(seq.matches, bat.matches):
-            assert m_bat.score == pytest.approx(m_seq.score, abs=tol)
-        assert same_ranking(seq, bat, score_tol=tol)
+    with ThreadBackend(max_workers=callers) as pool:
+        batches = pool.map(
+            lambda _: engine.search_batch(queries, method=method, k=k, h=h), range(callers)
+        )
+    for batched in batches:
+        assert len(batched) == len(sequential)
+        for seq, bat in zip(sequential, batched):
+            assert bat.query == seq.query
+            assert bat.method == seq.method
+            assert bat.relation_ids() == seq.relation_ids()
+            for m_seq, m_bat in zip(seq.matches, bat.matches):
+                assert m_bat.score == pytest.approx(m_seq.score, abs=tol)
+            assert same_ranking(seq, bat, score_tol=tol)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -89,7 +97,7 @@ def test_batch_equals_sequential(indexed_engine, method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_batch_equals_sequential_with_workers(indexed_engine, method):
-    assert_batch_matches_sequential(indexed_engine, QUERIES, method, workers=3)
+    assert_batch_matches_sequential(indexed_engine, QUERIES, method, callers=3)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -108,7 +116,7 @@ def test_batch_equivalence_property(indexed_engine, method, queries):
 @settings(max_examples=6, deadline=None)
 @given(queries=query_lists)
 def test_batch_equivalence_property_parallel(indexed_engine, method, queries):
-    assert_batch_matches_sequential(indexed_engine, queries, method, workers=2)
+    assert_batch_matches_sequential(indexed_engine, queries, method, callers=2)
 
 
 def test_empty_batch(indexed_engine):
@@ -130,11 +138,6 @@ def test_empty_batch_still_counted(covid_fed):
     assert counters["engine.batches"] == 2
     assert counters["exs.batches"] == 2
     assert counters["engine.queries"] == counters["exs.queries"] == 1
-
-
-def test_workers_must_be_positive(indexed_engine):
-    with pytest.raises(ValueError):
-        indexed_engine.search_batch(QUERIES, method="exs", workers=0)
 
 
 @pytest.mark.parametrize("method", METHODS)

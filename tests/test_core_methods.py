@@ -142,10 +142,6 @@ class TestDiscoveryEngine:
     def test_methods_cached(self, indexed_engine):
         assert indexed_engine.method("exs") is indexed_engine.method("exs")
 
-    def test_search_all_methods(self, indexed_engine):
-        results = indexed_engine.search_all_methods("COVID", k=3, h=-1.0)
-        assert set(results) == {"exs", "anns", "cts"}
-
     def test_unknown_method(self, indexed_engine):
         with pytest.raises(ConfigurationError):
             indexed_engine.search("x", method="magic")
@@ -186,24 +182,3 @@ class TestCTSQueryProjection:
         cts = indexed_engine.method("cts")
         q = indexed_engine.embeddings.encode_query("football")
         np.testing.assert_array_equal(cts.reduce_query(q), cts.reduce_query(q))
-
-
-class TestEvenChunks:
-    def test_zero_items_yields_no_chunks(self):
-        from repro.core.base import even_chunks
-
-        assert even_chunks(0, 4) == []
-
-    def test_more_chunks_than_items(self):
-        from repro.core.base import even_chunks
-
-        chunks = even_chunks(3, 8)
-        assert chunks == [range(0, 1), range(1, 2), range(2, 3)]
-
-    def test_partition_is_exact_and_balanced(self):
-        from repro.core.base import even_chunks
-
-        chunks = even_chunks(10, 3)
-        assert [i for c in chunks for i in c] == list(range(10))
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1

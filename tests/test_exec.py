@@ -20,7 +20,6 @@ import pytest
 from repro.core.engine import DiscoveryEngine
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec import (
-    EXECUTOR_ENV,
     ExecutionBackend,
     InlineBackend,
     ThreadBackend,
@@ -104,7 +103,7 @@ class TestThreadBackend:
             assert backend.pool is first
 
     def test_cap_clamps_concurrency(self):
-        """``cap`` (the caller's ``workers=``) bounds in-flight lanes even
+        """``cap`` (the caller's concurrency bound) bounds in-flight lanes even
         when the pool itself is larger."""
         active = 0
         peak = 0
@@ -164,23 +163,16 @@ class TestThreadBackend:
 
 class TestResolveBackend:
     def test_names(self):
-        for name, cls in [("inline", InlineBackend), ("thread", ThreadBackend)]:
+        for name, cls in [
+            ("inline", InlineBackend),
+            ("thread", ThreadBackend),
+            (None, ThreadBackend),
+        ]:
             backend = resolve_backend(name)
             try:
-                assert type(backend) is cls and backend.name == name
+                assert type(backend) is cls and backend.name == (name or "thread")
             finally:
                 backend.close()
-
-    def test_env_variable_default(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "inline")
-        backend = resolve_backend(None)
-        assert isinstance(backend, InlineBackend)
-        monkeypatch.delenv(EXECUTOR_ENV)
-        backend = resolve_backend(None)
-        try:
-            assert isinstance(backend, ThreadBackend)
-        finally:
-            backend.close()
 
     def test_instance_passes_through(self):
         with InlineBackend() as backend:
@@ -222,29 +214,11 @@ def exs_answers(federation, executor, shards=1, add=None, remove=()):
             engine.add_relations(add)
         if remove:
             engine.remove_relations(list(remove))
-        batch = engine.search_batch(QUERIES + EXPANDED, method="exs", k=10, h=-1.0, workers=4)
+        batch = engine.search_batch(QUERIES + EXPANDED, method="exs", k=10, h=-1.0)
         return [[(m.relation_id, m.score) for m in result.matches] for result in batch]
 
 
 class TestEngineIntegration:
-    def test_engine_methods_share_the_executor(self, tiny_federation):
-        with make_engine(tiny_federation, "thread") as engine:
-            method = engine.method("exs")
-            assert method.executor is engine.executor
-
-    def test_search_batch_reuses_one_pool(self, tiny_federation):
-        """Satellite regression: repeated ``search_batch(workers>1)``
-        calls must not churn fresh pools (ANNS fans queries out)."""
-        with make_engine(tiny_federation, ThreadBackend(max_workers=4)) as engine:
-            backend = engine.executor
-            engine.search_batch(QUERIES, method="anns", workers=4)
-            first = backend.pool
-            assert first is not None
-            engine.search_batch(QUERIES, method="anns", workers=4)
-            engine.search_batch(QUERIES, method="anns", workers=2)
-            assert backend.pool is first
-        backend.close()
-
     @pytest.mark.parametrize("shards", [1, 3])
     def test_process_engine_ranks_like_inline(self, tiny_federation, shards):
         """Thread-backend engines in two other interpreters, under two
@@ -281,7 +255,7 @@ class TestEngineIntegration:
         before_shm = shm_segments()
         for executor in ("inline", "thread"):
             engine = make_engine(tiny_federation, executor, shards=2)
-            engine.search_batch(QUERIES, method="exs", workers=4)
+            engine.search_batch(QUERIES, method="exs")
             assert shm_segments() <= before_shm
             engine.close()
         assert shm_segments() <= before_shm  # nothing leaked in /dev/shm
@@ -298,12 +272,6 @@ class TestEngineIntegration:
         assert live_mapped_paths()  # segments mapped
         engine.close()
         assert not live_mapped_paths()
-
-    def test_env_var_selects_engine_backend(self, tiny_federation, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "inline")
-        with make_engine(tiny_federation, None) as engine:
-            assert isinstance(engine.executor, InlineBackend)
-            assert type(engine.executor) is InlineBackend
 
 
 # -- serving integration --------------------------------------------------

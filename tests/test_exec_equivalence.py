@@ -54,7 +54,7 @@ def answers(engine: DiscoveryEngine, method: str) -> list:
     """Every query's ``(relation_id, score)`` list, each query alone and
     then as one batch."""
     results = [engine.search(query, method=method, k=100, h=-1.0) for query in QUERIES]
-    results += engine.search_batch(QUERIES, method=method, k=100, h=-1.0, workers=4)
+    results += engine.search_batch(QUERIES, method=method, k=100, h=-1.0)
     return [[(m.relation_id, m.score) for m in result.matches] for result in results]
 
 

@@ -22,6 +22,7 @@ from repro.ann.pq import PQIndex, ProductQuantizer
 from repro.core.engine import DiscoveryEngine
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.datamodel.relation import Federation, Relation
+from repro.exec import ThreadBackend
 from repro.linalg.distances import Metric, cosine_similarity, normalize_rows
 from repro.linalg.topk import top_k_indices, top_k_indices_rowwise
 from repro.vectordb.collection import Collection, Point
@@ -109,12 +110,17 @@ class TestFusedVsPerBlock:
         fed = federation(range(8))
         engine = make_exs_engine(dtype).index(fed)
         sequential = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
-        parallel = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0, workers=4)
-        for s, p in zip(sequential, parallel):
-            assert s.relation_ids() == p.relation_ids()
-            for ms, mp in zip(s.matches, p.matches):
-                # Same kernel, same operands: bitwise identical.
-                assert ms.score == mp.score
+        # Four caller threads scanning the same index at once.
+        with ThreadBackend(max_workers=4) as pool:
+            batches = pool.map(
+                lambda _: engine.search_batch(QUERIES, method="exs", k=100, h=-1.0), range(4)
+            )
+        for parallel in batches:
+            for s, p in zip(sequential, parallel):
+                assert s.relation_ids() == p.relation_ids()
+                for ms, mp in zip(s.matches, p.matches):
+                    # Same kernel, same operands: bitwise identical.
+                    assert ms.score == mp.score
 
     @pytest.mark.parametrize("shards", [2, 5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -293,9 +293,7 @@ class TestEngineLifecycle:
         def reader():
             while not stop.is_set():
                 try:
-                    batch = engine.search_batch(
-                        QUERIES, method="exs", k=100, h=-1.0, workers=2
-                    )
+                    batch = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
                     for result in batch:
                         # Every answer reflects one complete generation.
                         # Each delta below is atomic but the four are not,
@@ -319,63 +317,6 @@ class TestEngineLifecycle:
             for t in threads:
                 t.join()
         assert not errors
-
-    def test_search_all_methods_holds_one_generation(self):
-        """All three methods answer from the SAME store generation.
-
-        ``search_all_methods`` takes the read lock once around all
-        three searches; a concurrent writer must never land between
-        the ExS and the CTS run.  The old per-method ``search`` calls
-        each took their own read lock, letting a delta slip in between.
-        """
-        current = {i: make_relation(i) for i in range(6)}
-        engine = DiscoveryEngine(
-            dim=48,
-            method_params={
-                "anns": {"index_kind": "exact", "n_candidates": 10_000},
-                "cts": dict(CTS_PARAMS, drift_threshold=100.0),
-            },
-        ).index(Federation.from_relations([current[i] for i in sorted(current)]))
-        for name in engine.METHODS:
-            method = engine.method(name)
-            original = method.search
-
-            def wrapped(query, *, k=10, h=0.0, _original=original):
-                observed.append(engine.embeddings.generation)
-                return _original(query, k=k, h=h)
-
-            method.search = wrapped
-
-        observed: list[int] = []
-        errors: list[BaseException] = []
-        done = threading.Event()
-
-        def writer():
-            version = 0
-            while not done.is_set():
-                try:
-                    version += 1
-                    engine.update_relations({qualified(0): make_relation(0, version)})
-                except BaseException as exc:  # noqa: BLE001 — surfaced below
-                    errors.append(exc)
-                    return
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            for _ in range(20):
-                engine.search_all_methods("vaccine booster trial", k=5, h=-1.0)
-        finally:
-            done.set()
-            thread.join()
-        assert not errors
-        assert engine.embeddings.generation > 0, "writer never ran"
-        assert len(observed) == 20 * len(engine.METHODS)
-        for i in range(0, len(observed), len(engine.METHODS)):
-            chunk = observed[i : i + len(engine.METHODS)]
-            assert len(set(chunk)) == 1, (
-                f"generations {chunk} observed within one search_all_methods call"
-            )
 
 
 # -- store-level lifecycle -------------------------------------------------

@@ -320,8 +320,7 @@ class TestEngineIntegration:
             {"new/new": Relation("new", ["A"], [["vaccination europe"]], caption="new")}
         )
         fresh = cached_engine.search(QUERIES[0], method="exs", k=3)
-        with cached_engine.read_lock():
-            reference = cached_engine.method("exs").search(QUERIES[0], k=3)
+        reference = cached_engine.method("exs").search(QUERIES[0], k=3)
         assert fresh.relation_ids() == reference.relation_ids()
         assert (
             cached_engine.metrics.snapshot()["counters"].get("cache.hits", 0)

@@ -3,13 +3,14 @@
 Functional coverage for :mod:`repro.serving` over a small indexed
 engine, plus clock-injected unit tests for the pure admission pieces
 (token buckets, the admission controller, the micro-batcher).  The
-concurrency/property side — rank identity under many workers and
+concurrency/property side — rank identity under many dispatch threads and
 writer deltas racing a drain — lives in ``test_serving_stress.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -73,6 +74,38 @@ def test_submit_matches_direct_search(engine):
         # one through the same row-wise kernel: the scores are the bits.
         for got, want in zip(result.matches, direct.matches):
             assert got.score == want.score
+
+
+def test_window_runs_off_the_loop_with_an_inline_engine(tiny_federation, monkeypatch):
+    """An engine built with ``executor="inline"`` must not pull the scan
+    onto the event loop: serving dispatches every window on its own
+    thread backend, and the window answers like ``engine.search_batch``."""
+    engine = DiscoveryEngine(dim=48, executor="inline").index(tiny_federation)
+    engine.method("exs")
+    search_batch = engine.search_batch
+    callers: list[int] = []
+
+    def spy(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return search_batch(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "search_batch", spy)
+
+    async def serve():
+        async with engine.serving(window_ms=5.0, max_batch=len(QUERIES)) as serving:
+            served = await asyncio.gather(
+                *(serving.submit(q, method="exs", k=3) for q in QUERIES)
+            )
+        return threading.get_ident(), served
+
+    loop_thread, served = run(serve())
+    assert callers and loop_thread not in callers
+    direct = search_batch(QUERIES, method="exs", k=3)
+    for got, want in zip(served, direct, strict=True):
+        assert [(m.relation_id, m.score) for m in got.matches] == [
+            (m.relation_id, m.score) for m in want.matches
+        ]
+    engine.close()
 
 
 def test_concurrent_submits_coalesce_into_windows(engine):
@@ -344,8 +377,6 @@ def test_serving_config_validation(engine):
         engine.serving(max_queue=0)
     with pytest.raises(ConfigurationError):
         engine.serving(dispatch_workers=0)
-    with pytest.raises(ConfigurationError):
-        engine.serving(batch_workers=0)
     with pytest.raises(ConfigurationError):
         RateLimit(rate=0.0, burst=1.0)
     with pytest.raises(ConfigurationError):

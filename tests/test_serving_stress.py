@@ -2,8 +2,9 @@
 
 The functional suite (``test_serving.py``) drives the front end on a
 quiet engine.  This one races it against the things production traffic
-actually races against — multi-worker batch scans, a writer applying
-federation deltas mid-flight, and a drain overlapping both — and holds
+actually races against — windows dispatched on several threads, a
+writer applying federation deltas mid-flight, and a drain overlapping
+both — and holds
 the serving layer to the engine's own consistency contract: every
 answer equals what a direct ``engine.search`` would return against
 *some* complete federation generation, never a torn mix.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import asyncio
 import threading
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,14 +86,12 @@ traffic = st.lists(
 @given(plan=traffic)
 def test_serving_matches_direct_search_property(plan):
     """Any mix of concurrent (query, k) requests — coalesced across
-    several keys and scanned with engine-side workers — is element-wise
+    several keys and dispatched on two threads — is element-wise
     rank-identical to direct single-query search."""
     engine = make_engine([make_relation(s) for s in range(N_SLOTS)])
 
     async def serve():
-        async with engine.serving(
-            window_ms=2.0, max_batch=4, dispatch_workers=2, batch_workers=2
-        ) as serving:
+        async with engine.serving(window_ms=2.0, max_batch=4, dispatch_workers=2) as serving:
             return await asyncio.gather(
                 *(serving.submit(QUERIES[qi], method="exs", k=k) for qi, k in plan)
             )
@@ -126,7 +124,7 @@ def test_results_atomic_across_concurrent_delta():
 
     async def serve():
         async with engine.serving(
-            window_ms=1.0, max_batch=4, dispatch_workers=2, batch_workers=2
+            window_ms=1.0, max_batch=4, dispatch_workers=2
         ) as serving:
             async def client(wave: int):
                 return await asyncio.gather(
@@ -221,24 +219,6 @@ def test_two_serving_engines_share_one_discovery_engine():
     assert counters["serving.completed"] == 2 * len(QUERIES)
 
 
-@pytest.mark.parametrize("batch_workers", [1, 2])
-def test_rank_identity_under_engine_worker_pool(batch_workers):
-    """The engine-side chunked scan (workers>1) inside a served window
-    must not reorder anything."""
-    engine = make_engine([make_relation(s) for s in range(N_SLOTS)])
-
-    async def serve():
-        async with engine.serving(
-            window_ms=2.0, max_batch=8, batch_workers=batch_workers
-        ) as serving:
-            return await asyncio.gather(
-                *(serving.submit(q, method="exs", k=K) for q in QUERIES)
-            )
-
-    for query, result in zip(QUERIES, asyncio.run(serve())):
-        assert result.relation_ids() == direct_ids(engine, query)
-
-
 # -- the semantic cache under racing writers ---------------------------------
 
 
@@ -267,7 +247,7 @@ def test_results_atomic_across_concurrent_delta_with_cache():
 
     async def serve():
         async with engine.serving(
-            window_ms=1.0, max_batch=4, dispatch_workers=2, batch_workers=2
+            window_ms=1.0, max_batch=4, dispatch_workers=2
         ) as serving:
 
             async def client(wave: int):
