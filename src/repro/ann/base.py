@@ -9,7 +9,7 @@ import numpy as np
 from repro.errors import DimensionMismatchError, EmptyIndexError
 from repro.linalg.distances import Metric
 
-__all__ = ["VectorIndex", "SearchHit"]
+__all__ = ["VectorIndex", "SearchHit", "hits_from_rows"]
 
 
 class SearchHit:
@@ -34,6 +34,11 @@ class SearchHit:
         return self.index == other.index and self.score == other.score
 
 
+def hits_from_rows(rows: np.ndarray, scores: np.ndarray) -> list[SearchHit]:
+    """One query's ``(rows, scores)`` arrays as :class:`SearchHit` objects."""
+    return [SearchHit(row, score) for row, score in zip(rows.tolist(), scores.tolist())]
+
+
 class VectorIndex(abc.ABC):
     """A k-NN index over a fixed set of vectors.
 
@@ -44,6 +49,11 @@ class VectorIndex(abc.ABC):
     a float32 store is scanned at float32 bandwidth — and queries are
     cast to it before scoring.  Non-float builds promote to float64.
     """
+
+    #: Whether the search methods take an ``ef`` beam width.  A class
+    #: fact, so a caller decides from the index's type once instead of
+    #: probing the call.
+    takes_ef: bool = False
 
     def __init__(self, metric: Metric = Metric.COSINE) -> None:
         self.metric = metric
@@ -90,6 +100,22 @@ class VectorIndex(abc.ABC):
         # repro-lint: disable=RL003 -- dtype-preserving pass-through; per-query search validates
         queries = np.atleast_2d(np.asarray(queries))
         return [self.search(query, k) for query in queries]
+
+    def search_rows(self, queries: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Nearest rows of each query in a ``(Q, dim)`` block as
+        ``(rows, scores)`` arrays, best first.
+
+        The array form a collection consumes.  The default converts
+        :meth:`search_batch`'s hits; graph indexes produce arrays
+        natively and wrap them into hits instead.
+        """
+        out: list[tuple[np.ndarray, np.ndarray]] = []
+        for hits in self.search_batch(queries, k):
+            rows = np.fromiter((hit.index for hit in hits), dtype=np.intp, count=len(hits))
+            # repro-lint: disable=RL003 -- hit scores are Python floats; float64 holds them exactly
+            scores = np.fromiter((hit.score for hit in hits), dtype=np.float64, count=len(hits))
+            out.append((rows, scores))
+        return out
 
     # -- shared validation helpers -------------------------------------
 

@@ -11,23 +11,32 @@ A from-scratch HNSW index:
 * the heuristic neighbour-selection rule (Algorithm 4 of the HNSW
   paper) that keeps graphs navigable in clustered data.
 
-Distances to candidate neighbourhoods are evaluated in vectorized numpy
-batches, which keeps the pure-Python implementation usable at the
-corpus sizes of the experiments.
+Insertion evaluates each hop's candidate neighbourhood in one numpy
+gather + GEMV.  A query instead computes its distance to every stored
+vector in one pass up front (a GEMV for cosine): the greedy descent and
+the layer-0 beam then read those distances from Python, with no numpy
+call per hop.  Both drive the same descent and beam loops through a
+``dist_of(ids)`` callable.  The trade pays while the beam touches most
+of the store, as ANNS's wide beam does (DESIGN.md measures the share).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.ann.base import SearchHit, VectorIndex
+from repro.ann.base import SearchHit, VectorIndex, hits_from_rows
 from repro.errors import ConfigurationError
 from repro.linalg.distances import Metric, normalize_rows
 
 __all__ = ["HNSWIndex"]
+
+#: ``dist_of(ids)``: distances (smaller = closer) from the current query
+#: to the given node ids, as Python floats.
+DistOf = Callable[[list[int]], list[float]]
 
 
 class HNSWIndex(VectorIndex):
@@ -48,6 +57,8 @@ class HNSWIndex(VectorIndex):
         Seed for level sampling, making index construction
         deterministic.
     """
+
+    takes_ef = True
 
     def __init__(
         self,
@@ -93,11 +104,32 @@ class HNSWIndex(VectorIndex):
         # cosine vectors are pre-normalized, so dot == cosine similarity
         return 1.0 - rows @ query
 
-    def _score(self, distance: float) -> float:
-        """Convert internal distance back to the similarity convention."""
+    def _hop_distances(self, query: np.ndarray) -> DistOf:
+        """Insert's distance source: one gather + GEMV per call."""
+        return lambda ids: self._dist(query, ids).tolist()
+
+    def _query_distances(self, query: np.ndarray) -> DistOf:
+        """A query's distance source: one pass over the whole store,
+        then plain list lookups.
+
+        The euclidean pass gives every row the same bits a gather would.
+        BLAS GEMV does not quite: a row that lands in the tail of a
+        gathered block (its last ``n % 4`` rows) can differ in the last
+        ulp, so cosine distances may differ from insert's per-hop ones
+        by an ulp.
+        """
         if self.metric is Metric.EUCLIDEAN:
-            return -distance
-        return 1.0 - distance
+            table = np.linalg.norm(self._vectors - query, axis=1).tolist()
+        else:
+            table = (1.0 - self._vectors @ query).tolist()
+        take = table.__getitem__
+        return lambda ids: list(map(take, ids))
+
+    def _score(self, distances: np.ndarray) -> np.ndarray:
+        """Convert internal distances back to the similarity convention."""
+        if self.metric is Metric.EUCLIDEAN:
+            return -distances
+        return 1.0 - distances
 
     # -- construction -----------------------------------------------------
 
@@ -151,13 +183,14 @@ class HNSWIndex(VectorIndex):
             return
 
         query = self._vectors[node]
+        dist_of = self._hop_distances(query)
         entry = self._entry_point
         # Greedy descent through layers above the node's level.
         for layer in range(self._max_layer, level, -1):
-            entry = self._greedy_closest(query, entry, layer)
+            entry = self._greedy_closest(dist_of, entry, layer)
         # Beam search + heuristic linking on the layers the node joins.
         for layer in range(min(level, self._max_layer), -1, -1):
-            candidates = self._search_layer(query, [entry], layer, self.ef_construction)
+            candidates = self._search_layer(dist_of, [entry], layer, self.ef_construction)
             m_max = self.m0 if layer == 0 else self.m
             neighbours = self._select_heuristic(query, candidates, self.m)
             self._graph[node][layer] = [n for _, n in neighbours]
@@ -211,74 +244,92 @@ class HNSWIndex(VectorIndex):
 
     # -- search -----------------------------------------------------------
 
-    def _greedy_closest(self, query: np.ndarray, entry: int, layer: int) -> int:
+    def _greedy_closest(self, dist_of: DistOf, entry: int, layer: int) -> int:
         current = entry
-        current_dist = float(self._dist(query, [entry])[0])
-        improved = True
-        while improved:
-            improved = False
+        current_dist = dist_of([entry])[0]
+        while True:
             links = self._graph[current][layer]
             if not links:
-                break
-            dists = self._dist(query, links)
-            best = int(np.argmin(dists))
-            if dists[best] < current_dist:
-                current = links[best]
-                current_dist = float(dists[best])
-                improved = True
-        return current
+                return current
+            dists = dist_of(links)
+            best = min(range(len(dists)), key=dists.__getitem__)  # first minimum
+            if not dists[best] < current_dist:
+                return current
+            current, current_dist = links[best], dists[best]
 
     def _search_layer(
         self,
-        query: np.ndarray,
+        dist_of: DistOf,
         entries: list[int],
         layer: int,
         ef: int,
     ) -> list[tuple[float, int]]:
         """Beam search on one layer; returns (distance, node) pairs."""
+        push, pop, pushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
+        graph = self._graph
         visited = set(entries)
-        entry_dists = self._dist(query, entries)
         # candidates: min-heap by distance; results: max-heap (negated).
-        candidates = [(float(d), n) for d, n in zip(entry_dists, entries)]
+        candidates = list(zip(dist_of(entries), entries))
         heapq.heapify(candidates)
         results = [(-d, n) for d, n in candidates]
         heapq.heapify(results)
         while candidates:
-            dist, node = heapq.heappop(candidates)
+            dist, node = pop(candidates)
             if len(results) >= ef and dist > -results[0][0]:
                 break
-            fresh = [n for n in self._graph[node][layer] if n not in visited]
-            if not fresh:
+            links = graph[node][layer]
+            if visited.issuperset(links):  # the common case once the beam is wide
                 continue
+            fresh = [n for n in links if n not in visited]
             visited.update(fresh)
-            dists = self._dist(query, fresh)
             worst = -results[0][0] if results else math.inf
-            for d, n in zip(dists.tolist(), fresh):
-                if len(results) < ef or d < worst:
-                    heapq.heappush(candidates, (d, n))
-                    heapq.heappush(results, (-d, n))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    worst = -results[0][0]
+            for d, n in zip(dist_of(fresh), fresh):
+                if len(results) < ef:
+                    push(candidates, (d, n))
+                    push(results, (-d, n))
+                elif d < worst:
+                    push(candidates, (d, n))
+                    pushpop(results, (-d, n))
+                else:
+                    continue
+                worst = -results[0][0]
         return sorted((-negd, n) for negd, n in results)
+
+    def search_rows(
+        self, queries: np.ndarray, k: int, ef: int | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Approximate k nearest rows of each query, best first, as
+        ``(rows, scores)`` arrays.
+
+        The beam width is ``max(ef, k)``, with ``ef`` defaulting to
+        ``ef_search``.  Each query pays one distance pass over the store
+        (:meth:`_query_distances`); descent and beam are pure Python.
+        """
+        queries = self._validate_query_block(queries)
+        ef = max(ef if ef is not None else self.ef_search, k)
+        assert self._entry_point is not None
+        out: list[tuple[np.ndarray, np.ndarray]] = []
+        for query in queries:
+            if self.metric is Metric.COSINE:
+                query = normalize_rows(query)
+            dist_of = self._query_distances(query)
+            entry = self._entry_point
+            for layer in range(self._max_layer, 0, -1):
+                entry = self._greedy_closest(dist_of, entry, layer)
+            found = self._search_layer(dist_of, [entry], 0, ef)[:k]
+            # (distance, node) pairs as a float64 (k, 2) block: the
+            # distances stay the Python floats SearchHit scores came from.
+            # repro-lint: disable=RL003 -- holds Python-float distances and node ids exactly
+            pairs = np.array(found, dtype=np.float64).reshape(-1, 2)
+            out.append((pairs[:, 1].astype(np.intp), self._score(pairs[:, 0])))
+        return out
 
     def search(self, query: np.ndarray, k: int, ef: int | None = None) -> list[SearchHit]:
         """Approximate k nearest neighbours of ``query``, best first."""
-        query = self._validate_query(query)
-        if self.metric is Metric.COSINE:
-            query = normalize_rows(query)
-        ef = max(ef if ef is not None else self.ef_search, k)
-        assert self._entry_point is not None
-        entry = self._entry_point
-        for layer in range(self._max_layer, 0, -1):
-            entry = self._greedy_closest(query, entry, layer)
-        found = self._search_layer(query, [entry], 0, ef)
-        return [SearchHit(node, self._score(dist)) for dist, node in found[:k]]
+        return hits_from_rows(*self.search_rows(self._validate_query(query), k, ef=ef)[0])
 
     def search_batch(
         self, queries: np.ndarray, k: int, ef: int | None = None
     ) -> list[list[SearchHit]]:
-        """Per-query graph traversal (inherently sequential), sharing
-        validation and the ``ef`` beam width across the block."""
-        queries = self._validate_query_block(queries)
-        return [self.search(query, k, ef=ef) for query in queries]
+        """:meth:`search` for each row of a ``(Q, dim)`` block."""
+        return [hits_from_rows(*found) for found in self.search_rows(queries, k, ef=ef)]

@@ -49,7 +49,15 @@ class ANNSearch(SearchMethod):
     n_subvectors / n_centroids:
         Product-quantization shape (ignored without PQ).
     m / ef_construction / ef_search:
-        HNSW graph parameters (ignored for ``"exact"``).
+        HNSW graph parameters (ignored for ``"exact"``).  On the
+        paper's ``"hnsw+pq"`` index neither ``ef_search`` nor the ``ef``
+        a query passes sets the beam.  A query passes
+        ``ef=int(1.5 * budget)`` and the collection's rescore fetches
+        ``int(1.5 * budget)`` points.  :class:`HNSWPQIndex` asks the
+        graph for twice that many, and the graph's beam is the larger
+        of ``ef`` and the request.  So the beam is
+        ``2 * int(1.5 * budget)`` at every budget from 6 up (768 at the
+        default 256).  With plain ``"hnsw"`` the ``ef`` does set it.
     evidence_size:
         The relation score is the average similarity of its
         ``evidence_size`` best retrieved vectors, counting missing
@@ -259,15 +267,21 @@ class ANNSearch(SearchMethod):
 
     def retrieve(self, query_vector: np.ndarray, budget: int) -> list[ScoredPoint]:
         """Step 2's retrieval half: the ``budget`` nearest value points,
-        before any grouping by relation."""
+        before any grouping by relation.
+
+        The same collection search as :meth:`search` runs, returned as
+        :class:`ScoredPoint` objects; ``search`` itself keeps the
+        ``(rows, scores)`` arrays.
+        """
         collection = self.database.get_collection("values")
         with self.metrics.timer(f"{self.name}.scan"):
             return collection.search(query_vector, k=budget, ef=int(1.5 * budget), rescore=True)
 
-    def retrieve_batch(
+    def _retrieve_rows(
         self, query_block: np.ndarray, budget: int
-    ) -> list[list[ScoredPoint]]:
-        """Batched :meth:`retrieve` over a ``(Q, dim)`` query block."""
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each query's ``budget`` nearest value points as ``(rows,
+        scores)`` arrays over the values collection."""
         collection = self.database.get_collection("values")
         # Match the collection's storage dtype before the scan: the
         # encoder emits float64, and shipping that into a float32
@@ -275,7 +289,7 @@ class ANNSearch(SearchMethod):
         # rejects (found by the REPRO_SANITIZE CI shard).
         query_block = np.ascontiguousarray(query_block, dtype=collection.dtype)
         with self.metrics.timer(f"{self.name}.scan"):
-            return collection.search_batch(
+            return collection.search_rows(
                 query_block, k=budget, ef=int(1.5 * budget), rescore=True
             )
 
@@ -283,7 +297,8 @@ class ANNSearch(SearchMethod):
         """Step 2: approximate KNN, then group scores by relation."""
         with self.metrics.timer(f"{self.name}.encode"):
             q = self.embeddings.encode_query(query)
-        return self._group_hits(self.retrieve(q, self._candidate_budget()))
+        rows, scores = self._retrieve_rows(q[np.newaxis, :], self._candidate_budget())[0]
+        return self._group_rows(rows, scores)
 
     def _score_batch(self, queries: Sequence[str]) -> list[list[RelationMatch]]:
         """Batched Step 2: one candidate-retrieval pass per query block.
@@ -296,29 +311,31 @@ class ANNSearch(SearchMethod):
         """
         with self.metrics.timer(f"{self.name}.encode"):
             block = np.stack([self.embeddings.encode_query(q) for q in queries])
-        hit_lists = self.retrieve_batch(block, self._candidate_budget())
-        return [self._group_hits(hits) for hits in hit_lists]
+        found = self._retrieve_rows(block, self._candidate_budget())
+        return [self._group_rows(rows, scores) for rows, scores in found]
 
-    def _group_hits(self, hits: list[ScoredPoint]) -> list[RelationMatch]:
-        """Fixed-size evidence averaging of one query's retrieved values."""
+    def _group_rows(self, rows: np.ndarray, scores: np.ndarray) -> list[RelationMatch]:
+        """Fixed-size evidence averaging of one query's retrieved values,
+        read from the stored payloads by row."""
+        payloads = self.database.get_collection("values").payloads_at(rows)
         per_relation: dict[str, list[float]] = defaultdict(list)
         per_relation_attrs: dict[str, set[str]] = defaultdict(set)
-        for hit in hits:
-            for relation_id, attribute, count in hit.payload["owners"]:
+        for payload, score in zip(payloads, scores.tolist()):
+            for relation_id, attribute, count in payload["owners"]:
                 # A value occurring `count` times in the relation is
                 # `count` matched attributes (Algorithm 2 averages over
                 # attribute occurrences, as ExS does).
-                per_relation[relation_id].extend([hit.score] * count)
+                per_relation[relation_id].extend([score] * count)
                 per_relation_attrs[relation_id].add(attribute)
         m = self.evidence_size
         return [
             RelationMatch(
                 relation_id=relation_id,
-                score=sum(sorted(scores, reverse=True)[:m]) / m,
+                score=sum(sorted(evidence, reverse=True)[:m]) / m,
                 details={
-                    "n_hits": len(scores),
+                    "n_hits": len(evidence),
                     "attributes": sorted(per_relation_attrs[relation_id]),
                 },
             )
-            for relation_id, scores in per_relation.items()
+            for relation_id, evidence in per_relation.items()
         ]

@@ -41,7 +41,7 @@ from repro.dimred.pca import PCA
 from repro.dimred.umap_ import UMAP
 from repro.errors import ConfigurationError
 from repro.linalg.distances import Metric, euclidean_distance
-from repro.vectordb.collection import Point, ScoredPoint
+from repro.vectordb.collection import Point
 from repro.vectordb.database import VectorDatabase
 
 __all__ = ["ClusteredTargetedSearch"]
@@ -142,9 +142,14 @@ class ClusteredTargetedSearch(SearchMethod):
         self._landmark_working: np.ndarray | None = None
         self._landmark_reduced: np.ndarray | None = None
         self._working: np.ndarray | None = None
-        self._rep_rows: np.ndarray | None = None
-        self._labels_unique: np.ndarray | None = None
-        self._unique_to_rows: list[np.ndarray] = []
+        # Query-path lookup arrays (see _index_query_arrays).
+        self._counts: np.ndarray | None = None
+        self._value_rows = np.empty(0, dtype=np.intp)
+        self._value_ptr = np.zeros(1, dtype=np.intp)
+        self._cluster_members = np.empty(0, dtype=np.intp)
+        self._cluster_rep_rows = np.empty(0, dtype=np.intp)
+        self._cluster_bounds: dict[int, tuple[int, int]] = {}
+        self._medoid_cids = np.empty(0, dtype=np.int64)
         # Incremental lifecycle state: per-value cluster assignments and
         # reduced coordinates survive deltas, so partial maintenance
         # only has to place values it has never seen.
@@ -200,9 +205,7 @@ class ClusteredTargetedSearch(SearchMethod):
             cid: int(rep_rows[u]) for cid, u in self._medoid_rows.items()
         }
         self._labels = labels_unique[row_to_unique]
-        self._rep_rows = rep_rows
-        self._labels_unique = labels_unique
-        self._unique_to_rows = self._index_unique_rows(row_to_unique, len(rep_rows))
+        self._index_query_arrays(rep_rows, row_to_unique, labels_unique)
         self._populate_database(reduced_unique[row_to_unique], self._labels)
 
     def _unique_rows(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -227,12 +230,22 @@ class ClusteredTargetedSearch(SearchMethod):
             unique_values,
         )
 
-    @staticmethod
-    def _index_unique_rows(row_to_unique: np.ndarray, n_unique: int) -> list[np.ndarray]:
-        """unique index -> all full rows carrying that value."""
-        order = np.argsort(row_to_unique, kind="stable")
-        boundaries = np.searchsorted(row_to_unique[order], np.arange(n_unique + 1))
-        return [order[boundaries[u] : boundaries[u + 1]] for u in range(n_unique)]
+    def _index_query_arrays(
+        self, rep_rows: np.ndarray, row_to_unique: np.ndarray, labels_unique: np.ndarray
+    ) -> None:
+        """The arrays :meth:`_targeted_scan` reads, rebuilt at build and
+        delta time: per-row counts, unique value -> its full rows, and
+        cluster -> its member values (ascending) with their
+        representative rows."""
+        self._counts = np.concatenate([rel.counts for rel in self.embeddings.relations])
+        self._value_rows, self._value_ptr = _group_positions(row_to_unique, len(rep_rows))
+        cluster_ids, slots = np.unique(labels_unique, return_inverse=True)
+        self._cluster_members, ptr = _group_positions(slots, len(cluster_ids))
+        self._cluster_rep_rows = rep_rows[self._cluster_members]
+        self._cluster_bounds = {
+            cid: (int(ptr[slot]), int(ptr[slot + 1]))
+            for slot, cid in enumerate(cluster_ids.tolist())
+        }
 
     def _inter_medoid_scale(self) -> float:
         """Mean pairwise distance between medoids (drift normalizer)."""
@@ -328,10 +341,8 @@ class ClusteredTargetedSearch(SearchMethod):
         labels_unique = np.asarray(
             [self._cluster_of_value[v] for v in unique_values], dtype=np.int64
         )
-        self._rep_rows = rep_rows
-        self._labels_unique = labels_unique
         self._labels = labels_unique[row_to_unique]
-        self._unique_to_rows = self._index_unique_rows(row_to_unique, len(rep_rows))
+        self._index_query_arrays(rep_rows, row_to_unique, labels_unique)
         self._medoid_rows = {
             cid: int(rep_rows[uidx[value]]) for cid, value in self._medoid_value.items()
         }
@@ -485,6 +496,8 @@ class ClusteredTargetedSearch(SearchMethod):
             "medoids", dim=self._stacked.shape[1], metric=Metric.COSINE
         )
         relation_ids = self.embeddings.relation_ids()
+        # The medoid collection's rows, in cluster-id order.
+        self._medoid_cids = np.asarray(sorted(self._medoid_rows), dtype=np.int64)
         for cid, medoid_row in sorted(self._medoid_rows.items()):
             medoid_collection.upsert(
                 [
@@ -555,12 +568,18 @@ class ClusteredTargetedSearch(SearchMethod):
         weights /= weights.sum()
         return weights @ self._landmark_reduced[nearest]
 
+    def _route(self, block: np.ndarray) -> list[np.ndarray]:
+        """The ``top_clusters`` nearest medoids' cluster ids per query."""
+        medoids = self.database.get_collection("medoids")
+        block = np.ascontiguousarray(block, dtype=medoids.dtype)
+        with self.metrics.timer(f"{self.name}.route"):
+            found = medoids.search_rows(block, k=self.top_clusters)
+        return [self._medoid_cids[rows] for rows, _ in found]
+
     def _score_all(self, query: str) -> list[RelationMatch]:
         with self.metrics.timer(f"{self.name}.encode"):
             q = self.embeddings.encode_query(query)
-        medoids = self.database.get_collection("medoids")
-        with self.metrics.timer(f"{self.name}.route"):
-            routed = medoids.search(q, k=self.top_clusters)
+        routed = self._route(q[np.newaxis, :])[0]
         with self.metrics.timer(f"{self.name}.scan"):
             return self._targeted_scan(q, routed)
 
@@ -575,18 +594,11 @@ class ClusteredTargetedSearch(SearchMethod):
         """
         with self.metrics.timer(f"{self.name}.encode"):
             block = np.stack([self.embeddings.encode_query(q) for q in queries])
-        medoids = self.database.get_collection("medoids")
-        with self.metrics.timer(f"{self.name}.route"):
-            routed_lists = medoids.search_batch(block, k=self.top_clusters)
-        out: list[list[RelationMatch]] = []
+        routed = self._route(block)
         with self.metrics.timer(f"{self.name}.scan"):
-            for q, routed in zip(block, routed_lists):
-                out.append(self._targeted_scan(q, routed))
-        return out
+            return [self._targeted_scan(q, cids) for q, cids in zip(block, routed)]
 
-    def _targeted_scan(
-        self, q: np.ndarray, routed: list[ScoredPoint]
-    ) -> list[RelationMatch]:
+    def _targeted_scan(self, q: np.ndarray, cluster_ids: np.ndarray) -> list[RelationMatch]:
         # Per routed cluster, keep the best ``per_cluster_candidates``
         # DISTINCT member values by cosine similarity to the query in
         # the encoder's space, then expand each kept value to every
@@ -598,43 +610,84 @@ class ClusteredTargetedSearch(SearchMethod):
         # query's UMAP landmark position) matters for multi-keyword
         # queries, whose reduced image lies between clusters where
         # distances are meaningless.
-        assert self._stacked is not None and self._labels_unique is not None
-        candidate_rows: list[int] = []
-        for cluster_hit in routed:
-            members_u = np.flatnonzero(self._labels_unique == int(cluster_hit.id))
-            if members_u.size == 0:
+        assert self._stacked is not None and self._owner is not None
+        assert self._counts is not None
+        keep = self.per_cluster_candidates
+        kept: list[np.ndarray] = []
+        for cid in cluster_ids.tolist():
+            bounds = self._cluster_bounds.get(cid)
+            if bounds is None:
                 continue
-            member_sims = self._stacked[self._rep_rows[members_u]] @ q
-            keep = min(self.per_cluster_candidates, members_u.shape[0])
-            best = np.argpartition(-member_sims, keep - 1)[:keep]
-            for u in members_u[best]:
-                candidate_rows.extend(int(r) for r in self._unique_to_rows[int(u)])
-
-        if not candidate_rows:
+            members = self._cluster_members[bounds[0] : bounds[1]]
+            if members.shape[0] > keep:
+                member_sims = self._stacked[self._cluster_rep_rows[bounds[0] : bounds[1]]] @ q
+                members = members[np.argpartition(-member_sims, keep - 1)[:keep]]
+            kept.append(members)
+        if not kept:
             return []
-
-        assert self._owner is not None
-        rows = np.asarray(sorted(set(candidate_rows)), dtype=np.intp)
+        values = np.concatenate(kept)
+        starts = self._value_ptr[values]
+        rows = np.unique(
+            self._value_rows[_ranges(starts, self._value_ptr[values + 1] - starts)]
+        )
         sims = self._stacked[rows] @ q
+        owners, scores, n_hits = _evidence_scores(
+            self._owner[rows], sims, self._counts[rows], self.evidence_size
+        )
         relation_ids = self.embeddings.relation_ids()
-        counts = np.concatenate([rel.counts for rel in self.embeddings.relations])
-
-        per_relation: dict[str, list[float]] = defaultdict(list)
-        for row, sim in zip(rows, sims):
-            # Multiplicity-weighted, as in ExS: a value occurring k
-            # times in the relation is k matched attributes.
-            per_relation[relation_ids[int(self._owner[row])]].extend(
-                [float(sim)] * int(counts[row])
-            )
-        m = self.evidence_size
+        clusters = cluster_ids.tolist()
         return [
             RelationMatch(
-                relation_id=relation_id,
-                score=sum(sorted(scores, reverse=True)[:m]) / m,
-                details={
-                    "n_hits": len(scores),
-                    "clusters": [int(c.id) for c in routed],
-                },
+                relation_id=relation_ids[owner],
+                score=score,
+                details={"n_hits": hits, "clusters": list(clusters)},
             )
-            for relation_id, scores in per_relation.items()
+            for owner, score, hits in zip(owners.tolist(), scores.tolist(), n_hits.tolist())
         ]
+
+
+def _evidence_scores(
+    owners: np.ndarray, sims: np.ndarray, counts: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-size evidence averaging, grouped by owner.
+
+    Row ``i`` is ``counts[i]`` hits of similarity ``sims[i]`` for relation
+    ``owners[i]``: multiplicity-weighted, as in ExS, a value occurring k
+    times in a relation is k matched attributes.  Each relation scores
+    the sum of its ``m`` best hits over ``m`` (missing slots count zero).
+    Returns the distinct owners (ascending), their scores and hit counts.
+
+    The ``m`` best are summed left to right, column by column, over a
+    zero-padded ``(R, m)`` matrix: the order Python's ``sum`` over the
+    descending list takes, so each score keeps those bits (a zero pad
+    adds exactly nothing).  ``np.add.reduce`` would sum pairwise.
+    """
+    order = np.lexsort((-sims, owners))
+    counts = counts[order]
+    hit_owners = np.repeat(owners[order], counts)
+    hit_sims = np.repeat(sims[order], counts)
+    firsts = np.flatnonzero(np.r_[True, hit_owners[1:] != hit_owners[:-1]])
+    n_hits = np.diff(np.r_[firsts, hit_owners.shape[0]])
+    group = np.repeat(np.arange(firsts.shape[0]), n_hits)
+    rank = np.arange(hit_owners.shape[0]) - firsts[group]
+    best = np.zeros((firsts.shape[0], m))
+    top = rank < m
+    best[group[top], rank[top]] = hit_sims[top]
+    total = np.zeros(firsts.shape[0])
+    for column in best.T:
+        total = total + column
+    return hit_owners[firsts], total / m, n_hits
+
+
+def _group_positions(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR grouping of ``keys`` in ``[0, n_keys)``: key ``j``'s positions,
+    ascending, are ``positions[ptr[j] : ptr[j + 1]]``."""
+    positions = np.argsort(keys, kind="stable")
+    ptr = np.searchsorted(keys[positions], np.arange(n_keys + 1))
+    return positions, ptr
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + length)`` for each pair."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))

@@ -20,7 +20,7 @@ from repro.errors import (
     PointNotFoundError,
 )
 from repro.linalg.distances import Metric, normalize_rows, pairwise_similarity, row_norms
-from repro.linalg.topk import top_k_indices, top_k_indices_rowwise
+from repro.linalg.topk import top_k_indices_rowwise
 from repro.obs import MetricsRegistry
 from repro.sanitize import guard_operands, sanitize_enabled
 from repro.vectordb.filters import Filter
@@ -230,29 +230,17 @@ class Collection:
         ef: int | None = None,
         rescore: bool = False,
     ) -> list[ScoredPoint]:
-        """Top-k points by similarity to ``query``.
+        """Top-k points by similarity to ``query``: :meth:`search_rows`
+        for one query, as :class:`ScoredPoint` objects.
 
-        With an attached ANN index and a filter, the index is asked for
-        an over-fetched candidate set which is then post-filtered; exact
-        search applies the filter before scoring.
-
-        ``rescore=True`` adds a refine stage for lossy (PQ-compressed)
-        indexes: the index's candidates are re-scored against the
-        stored full-precision vectors and re-sorted, the standard
-        two-stage "ADC then refine" pipeline.
+        The query is cast to the storage dtype first, so a single query
+        never trips the sanitizer's dtype guard.
         """
         if len(self) == 0:
             return []
-        query = np.asarray(query, dtype=self.dtype).ravel()
-        if query.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"query dim {query.shape[0]} != collection dim {self.dim}"
-            )
-        self.metrics.counter("vectordb.searches").inc()
-        with self.metrics.timer("vectordb.scan"):
-            if self._index is not None:
-                return self._search_indexed(query, k, filter, with_vectors, ef, rescore)
-            return self._search_exact(query, k, filter, with_vectors)
+        query = np.asarray(query, dtype=self.dtype).reshape(1, -1)
+        rows, scores = self.search_rows(query, k, filter, ef, rescore)[0]
+        return self._scored_points(rows, scores, with_vectors)
 
     def search_batch(
         self,
@@ -263,15 +251,38 @@ class Collection:
         ef: int | None = None,
         rescore: bool = False,
     ) -> list[list[ScoredPoint]]:
-        """Top-k points for each row of a ``(Q, dim)`` query block.
+        """Top-k points for each row of a ``(Q, dim)`` query block:
+        :meth:`search_rows` as :class:`ScoredPoint` objects."""
+        found = self.search_rows(queries, k, filter, ef, rescore)
+        if len(self) and found:
+            self.metrics.counter("vectordb.batches").inc()
+        return [self._scored_points(rows, scores, with_vectors) for rows, scores in found]
 
-        Exact (index-less) collections answer the whole block with one
-        similarity GEMM followed by per-row top-k selection; indexed
-        collections check staleness once for the whole block, then hand
-        the block to the index's batched search (batched ADC for PQ
-        configurations), falling back to a per-query probe loop for
-        indexes without batch support.  Per-query results are identical
-        to :meth:`search` up to BLAS reduction order.
+    def search_rows(
+        self,
+        queries: np.ndarray,
+        k: int,
+        filter: Filter | None = None,
+        ef: int | None = None,
+        rescore: bool = False,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Top-k ``(rows, scores)`` arrays for each row of a ``(Q, dim)``
+        query block, best first; rows index :attr:`vectors` and
+        :meth:`payloads_at`, scores keep the dtype their kernel produced.
+
+        The one search path.  Exact (index-less) collections answer the
+        whole block with one similarity GEMM and per-row top-k
+        selection.  Indexed collections check staleness once, hand the
+        block to the index, and refine each query's candidates.  With a
+        filter the index is asked for an over-fetched candidate set,
+        which is then post-filtered; exact search filters before
+        scoring.
+
+        ``ef`` reaches only indexes that take a beam width
+        (:attr:`VectorIndex.takes_ef`).  ``rescore=True`` adds a refine
+        stage for lossy (PQ-compressed) indexes: the candidates are
+        re-scored against the stored full-precision vectors and
+        re-sorted, the standard two-stage "ADC then refine" pipeline.
         """
         if self.sanitize:
             # repro-lint: disable=RL003 -- inspects the caller's dtype; casting here would hide the mismatch
@@ -281,30 +292,29 @@ class Collection:
             # is exactly the bug class the sanitizer exists to catch.
             guard_operands(
                 raw,
-                where=f"vectordb.{self.name}.search_batch",
+                where=f"vectordb.{self.name}.search_rows",
                 expect_dtype=self.dtype if raw.dtype.kind == "f" else None,
             )
         queries = np.atleast_2d(np.asarray(queries, dtype=self.dtype))
         if queries.ndim != 2:
-            raise DimensionMismatchError("search_batch expects a (Q, dim) query block")
+            raise DimensionMismatchError("search_rows expects a (Q, dim) query block")
         if queries.shape[0] and queries.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"query dim {queries.shape[1]} != collection dim {self.dim}"
             )
         n_queries = queries.shape[0]
         if len(self) == 0 or n_queries == 0:
-            return [[] for _ in range(n_queries)]
+            empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=self.dtype))
+            return [empty for _ in range(n_queries)]
         self.metrics.counter("vectordb.searches").inc(n_queries)
-        self.metrics.counter("vectordb.batches").inc()
         with self.metrics.timer("vectordb.scan"):
-            if self._index is not None:
-                # Staleness is resolved once per batch; the per-query
-                # path below must not re-check it.
-                self._ensure_index_fresh()
-                return self._search_indexed_batch(
-                    queries, k, filter, with_vectors, ef, rescore
-                )
-            return self._search_exact_batch(queries, k, filter, with_vectors)
+            if self._index is None:
+                return self._search_exact(queries, k, filter)
+            return self._search_indexed(queries, k, filter, ef, rescore)
+
+    def payloads_at(self, rows: np.ndarray) -> list[dict[str, Any]]:
+        """The stored payloads of ``rows``, not copied: read only."""
+        return [self._payloads[row] for row in rows.tolist()]
 
     def _exact_scores(
         self, queries: np.ndarray, rows_arr: np.ndarray | None = None
@@ -332,128 +342,73 @@ class Collection:
             dtype=np.intp,
         )
 
-    def _search_exact_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        filter: Filter | None,
-        with_vectors: bool,
-    ) -> list[list[ScoredPoint]]:
+    def _search_exact(
+        self, queries: np.ndarray, k: int, filter: Filter | None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         rows_arr = self._filter_rows(filter)
         if rows_arr is not None and rows_arr.shape[0] == 0:
-            return [[] for _ in range(queries.shape[0])]
+            empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=self.dtype))
+            return [empty for _ in range(queries.shape[0])]
         n_rows = len(self) if rows_arr is None else rows_arr.shape[0]
         self.metrics.counter("vectordb.points_scanned").inc(queries.shape[0] * n_rows)
         scores = self._exact_scores(queries, rows_arr)
         best = top_k_indices_rowwise(scores, k)
         return [
-            [
-                self._scored(
-                    int(i if rows_arr is None else rows_arr[i]),
-                    float(scores[q, i]),
-                    with_vectors,
-                )
-                for i in best[q]
-            ]
+            (best[q] if rows_arr is None else rows_arr[best[q]], scores[q, best[q]])
             for q in range(scores.shape[0])
         ]
 
-    def _search_exact(
-        self,
-        query: np.ndarray,
-        k: int,
-        filter: Filter | None,
-        with_vectors: bool,
-    ) -> list[ScoredPoint]:
-        # Q=1 through the batched kernel: sequential and batched exact
-        # search share one code path (GEMM rows are independent, so the
-        # scores match the batched ones bit for bit).
-        return self._search_exact_batch(query[np.newaxis, :], k, filter, with_vectors)[0]
-
     def _search_indexed(
-        self,
-        query: np.ndarray,
-        k: int,
-        filter: Filter | None,
-        with_vectors: bool,
-        ef: int | None,
-        rescore: bool = False,
-    ) -> list[ScoredPoint]:
-        self._ensure_index_fresh()
-        self.metrics.counter("vectordb.index_probes").inc()
-        fetch = self._fetch_size(k, filter, rescore)
-        hits = self._probe_index(query, fetch, ef)
-        return self._refine_hits(query, hits, k, filter, with_vectors, rescore)
-
-    def _search_indexed_batch(
         self,
         queries: np.ndarray,
         k: int,
         filter: Filter | None,
-        with_vectors: bool,
         ef: int | None,
         rescore: bool,
-    ) -> list[list[ScoredPoint]]:
-        """Indexed batch serving; assumes freshness was already ensured.
-
-        The whole block goes to the index's ``search_batch`` (batched
-        ADC tables for PQ configurations); indexes whose batch
-        signature doesn't accept ``ef`` fall back to per-query probes.
-        """
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The index's candidates per query, refined.  Whether the index
+        takes ``ef`` is read from its type, so a ``TypeError`` raised
+        inside a search propagates instead of triggering a retry."""
         assert self._index is not None
+        self._ensure_index_fresh()
         self.metrics.counter("vectordb.index_probes").inc(queries.shape[0])
-        fetch = self._fetch_size(k, filter, rescore)
-        try:
-            hit_lists = (
-                self._index.search_batch(queries, fetch, ef=ef)
-                if ef is not None
-                else self._index.search_batch(queries, fetch)
-            )
-        except TypeError:  # batch signature without ef support
-            hit_lists = [self._probe_index(q, fetch, ef) for q in queries]
-        return [
-            self._refine_hits(q, hits, k, filter, with_vectors, rescore)
-            for q, hits in zip(queries, hit_lists)
-        ]
-
-    def _fetch_size(self, k: int, filter: Filter | None, rescore: bool) -> int:
         fetch = k if filter is None else max(4 * k, 32)
         if rescore:
             fetch = max(fetch, int(1.5 * k))  # headroom for re-sorting
-        return fetch
+        if ef is not None and self._index.takes_ef:
+            found = self._index.search_rows(queries, fetch, ef=ef)
+        else:
+            found = self._index.search_rows(queries, fetch)
+        return [
+            self._refine(query, rows, scores, k, filter, rescore)
+            for query, (rows, scores) in zip(queries, found)
+        ]
 
-    def _probe_index(self, query: np.ndarray, fetch: int, ef: int | None) -> list:
-        assert self._index is not None
-        kwargs = {"ef": ef} if ef is not None else {}
-        try:
-            return self._index.search(query, fetch, **kwargs)
-        except TypeError:  # index without ef support
-            return self._index.search(query, fetch)
-
-    def _refine_hits(
+    def _refine(
         self,
         query: np.ndarray,
-        hits: list,
+        rows: np.ndarray,
+        scores: np.ndarray,
         k: int,
         filter: Filter | None,
-        with_vectors: bool,
         rescore: bool,
-    ) -> list[ScoredPoint]:
-        if rescore and hits:
-            rows = np.asarray([hit.index for hit in hits], dtype=np.intp)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if rescore and rows.shape[0]:
             exact = self._exact_scores(query[np.newaxis, :], rows)[0]
             order = np.argsort(-exact, kind="stable")
-            hits = [
-                type(hits[0])(int(rows[i]), float(exact[i])) for i in order
-            ]
-        out: list[ScoredPoint] = []
-        for hit in hits:
-            if filter is not None and not filter.test(self._payloads[hit.index]):
-                continue
-            out.append(self._scored(hit.index, hit.score, with_vectors))
-            if len(out) >= k:
-                break
-        return out
+            rows, scores = rows[order], exact[order]
+        if filter is not None:
+            keep = [i for i, row in enumerate(rows.tolist()) if filter.test(self._payloads[row])]
+            rows, scores = rows[keep], scores[keep]
+        return rows[:k], scores[:k]
+
+    def _scored_points(
+        self, rows: np.ndarray, scores: np.ndarray, with_vectors: bool
+    ) -> list[ScoredPoint]:
+        return [
+            self._scored(row, score, with_vectors)
+            for row, score in zip(rows.tolist(), scores.tolist())
+        ]
 
     def _scored(self, row: int, score: float, with_vectors: bool) -> ScoredPoint:
         return ScoredPoint(

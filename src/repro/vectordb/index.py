@@ -14,7 +14,7 @@ import enum
 
 import numpy as np
 
-from repro.ann.base import SearchHit, VectorIndex
+from repro.ann.base import SearchHit, VectorIndex, hits_from_rows
 from repro.ann.bruteforce import BruteForceIndex
 from repro.ann.hnsw import HNSWIndex
 from repro.ann.ivf import IVFFlatIndex
@@ -37,6 +37,8 @@ class IndexKind(str, enum.Enum):
 
 class HNSWPQIndex(VectorIndex):
     """HNSW navigation over PQ-compressed vectors with ADC scoring."""
+
+    takes_ef = True
 
     def __init__(
         self,
@@ -80,19 +82,23 @@ class HNSWPQIndex(VectorIndex):
         return self
 
     def search(self, query: np.ndarray, k: int, ef: int | None = None) -> list[SearchHit]:
-        # Delegate through the batched path with Q=1 so sequential and
-        # batched serving share every ADC arithmetic step bit for bit.
-        return self.search_batch(self._validate_query(query)[np.newaxis, :], k, ef=ef)[0]
+        return hits_from_rows(*self.search_rows(self._validate_query(query), k, ef=ef)[0])
 
     def search_batch(
         self, queries: np.ndarray, k: int, ef: int | None = None
     ) -> list[list[SearchHit]]:
-        """Graph traversal per query, ADC rescore batched.
+        return [hits_from_rows(*found) for found in self.search_rows(queries, k, ef=ef)]
 
-        The HNSW descent is inherently sequential per query, but the
-        ``(Q, m, k)`` ADC lookup tables for the whole block are built
-        with one einsum up front; each query's over-fetched candidate
-        set is then re-scored by gathering from its own table slice.
+    def search_rows(
+        self, queries: np.ndarray, k: int, ef: int | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Graph traversal per query, ADC re-sort batched.
+
+        The graph is asked for ``max(2k, k + 8)`` candidates, with beam
+        ``max(ef, that)``.  The ``(Q, m, k)`` ADC lookup tables for the
+        whole block are built with one einsum up front; each query's
+        candidate rows are then re-scored from its own table slice and
+        stable-sorted, best first.
         """
         queries = self._validate_query_block(queries)
         if self.metric is Metric.COSINE:
@@ -102,16 +108,15 @@ class HNSWPQIndex(VectorIndex):
             tables = self.quantizer.adc_l2_tables(queries)
         else:
             tables = self.quantizer.adc_inner_product_tables(queries)
-        results: list[list[SearchHit]] = []
+        out: list[tuple[np.ndarray, np.ndarray]] = []
         for q in range(queries.shape[0]):
-            candidates = self._graph.search(queries[q], fetch, ef=ef)
-            ids = np.array([hit.index for hit in candidates], dtype=np.intp)
+            ids, _ = self._graph.search_rows(queries[q], fetch, ef=ef)[0]
             scores = self.quantizer.adc_scores(tables[q], self._codes[ids])
             if self.metric is Metric.EUCLIDEAN:
                 scores = -np.sqrt(np.clip(scores, 0, None))
             order = np.argsort(-scores, kind="stable")[:k]
-            results.append([SearchHit(int(ids[i]), float(scores[i])) for i in order])
-        return results
+            out.append((ids[order], scores[order]))
+        return out
 
 
 def make_index(kind: IndexKind | str, metric: Metric, **params) -> VectorIndex:
