@@ -1,4 +1,4 @@
-"""Privacy-preserving federation search with vector-DB snapshots.
+"""Privacy-preserving federation search over an exported vector snapshot.
 
 The paper motivates embeddings for federations where "datasets are not
 allowed to leave the original premises": embeddings are not inherently
@@ -7,7 +7,7 @@ example simulates that flow:
 
 1. each site builds its own relation embeddings locally;
 2. only the vectors + coarse metadata are exported into a shared
-   vector database snapshot (no cell values cross the boundary);
+   segment snapshot (no cell values cross the boundary);
 3. the search coordinator loads the snapshot and answers queries,
    returning dataset identifiers — the analyst then requests access
    from the owning site.
@@ -23,6 +23,7 @@ from repro.core.semimg import build_relation_embedding
 from repro.data.covid import cdc_relation, ecdc_relation, who_relation
 from repro.embedding import CachingEncoder, SemanticHashEncoder
 from repro.linalg.distances import Metric
+from repro.storage import SegmentWriter, open_snapshot
 from repro.vectordb import Point, VectorDatabase
 
 
@@ -60,11 +61,23 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         snapshot = Path(tmp) / "federation-snapshot"
-        db.save(snapshot)
+        exported = db.get_collection("federation")
+        writer = SegmentWriter(snapshot)
+        writer.add_array("vectors", exported.vectors)
+        writer.add_json("points", [{"id": p.id, "payload": p.payload} for p in exported.scroll()])
+        writer.commit()
         print(f"exported snapshot: {sorted(p.name for p in snapshot.iterdir())}\n")
 
-        coordinator = VectorDatabase.load(snapshot)
-        collection = coordinator.get_collection("federation")
+        shared = open_snapshot(snapshot)
+        vectors = shared.array("vectors")
+        coordinator = VectorDatabase()
+        collection = coordinator.create_collection("federation", dim=256, metric=Metric.COSINE)
+        collection.upsert(
+            [
+                Point(id=rec["id"], vector=vectors[row], payload=rec["payload"])
+                for row, rec in enumerate(shared.json("points"))
+            ]
+        )
         collection.create_index("hnsw", m=8, ef_construction=40)
 
         query = "covid vaccine doses"

@@ -594,8 +594,8 @@ class RawArrayPersistenceRule(Rule):
     file no digest covers and no manifest commits: a torn write there
     surfaces as garbage rankings, not a
     :class:`~repro.errors.StorageError`.  Use
-    :class:`~repro.storage.SegmentWriter` / ``open_snapshot()`` (or the
-    quarantined ``repro.storage.npz`` legacy shims) instead; a
+    :class:`~repro.storage.SegmentWriter` / ``open_snapshot()`` instead
+    (``repro.storage.migrate`` alone reads retired numpy archives); a
     deliberate exception carries a suppression comment with its reason.
     """
 

@@ -43,18 +43,18 @@ from repro.core.semimg import (
     RelationEmbedding,
     build_federation_embeddings,
     build_relation_embedding,
-    load_federation_embeddings,
+    embeddings_from_snapshot,
     save_federation_embeddings,
 )
 from repro.datamodel.relation import Federation, Relation
 from repro.embedding.base import SentenceEncoder
 from repro.embedding.cache import CachingEncoder
 from repro.embedding.semantic import SemanticHashEncoder
-from repro.errors import ConfigurationError, NotFittedError, StorageError
+from repro.errors import ConfigurationError, NotFittedError
 from repro.exec import ExecutionBackend, resolve_backend
 from repro.obs import MetricsRegistry
 from repro.sanitize import lockset, sanitize_enabled
-from repro.storage import is_snapshot, live_mapped_nbytes, open_snapshot
+from repro.storage import live_mapped_nbytes, open_snapshot
 
 if TYPE_CHECKING:
     # Circular at runtime, so imported where used: repro.serving wraps
@@ -67,12 +67,6 @@ __all__ = ["DiscoveryEngine"]
 
 #: Accepted shapes for the relation arguments of the lifecycle API.
 RelationsLike = Mapping[str, Relation] | Iterable[tuple[str, Relation]]
-
-#: ``meta["kind"]`` tag of a sharded index snapshot, as engines with
-#: ``shards > 1`` used to save them: a root manifest with the relation
-#: order plus one ``shard-<i>/`` sub-snapshot per shard, each an
-#: ordinary federation-embeddings snapshot.  Such snapshots still load.
-SHARDED_SNAPSHOT_KIND = "sharded-index"
 
 
 @guarded_by("_lifecycle_lock", "_embeddings", "_methods")
@@ -281,56 +275,6 @@ class DiscoveryEngine:
                 "re-save the index from an engine with the desired dtype"
             )
 
-    def _load_sharded_snapshot(
-        self, path: Path, meta: "dict[str, Any]", generation: int, mmap: bool
-    ) -> FederationEmbeddings:
-        """Read a sharded snapshot into one store: every ``shard-<i>/``
-        sub-snapshot, its relations reassembled in the root manifest's
-        ``relation_order``.  Each shard must be at the generation the
-        root recorded; anything else is a torn multi-shard save."""
-        info = meta["sharded"]
-        order = [str(rid) for rid in info["relation_order"]]
-        shard_stores: list[FederationEmbeddings] = []
-        try:
-            for shard in range(int(info["shards"])):
-                shard_stores.append(
-                    load_federation_embeddings(
-                        path / f"shard-{shard}",
-                        self.encoder,
-                        mmap=mmap,
-                        metrics=self.metrics,
-                        allow_empty=True,
-                    )
-                )
-            expected = info.get("shard_generations")
-            if expected is not None:
-                for shard, (store, want) in enumerate(zip(shard_stores, expected)):
-                    if store.generation != int(want):
-                        raise StorageError(
-                            f"shard-{shard} of snapshot {path} is at generation "
-                            f"{store.generation}, root manifest expects {want} — "
-                            "torn multi-shard save?"
-                        )
-            by_id = {
-                rel.relation_id: rel for store in shard_stores for rel in store.relations
-            }
-            if len(by_id) != len(order) or set(by_id) != set(order):
-                raise StorageError(
-                    f"snapshot {path} shard contents disagree with the root "
-                    "manifest's relation order"
-                )
-        except BaseException:
-            for store in shard_stores:
-                store.release_backing()
-            raise
-        return FederationEmbeddings(
-            relations=[by_id[rid] for rid in order],
-            encoder=self.encoder,
-            build_seconds=max((store.build_seconds for store in shard_stores), default=0.0),
-            generation=generation,
-            backings=tuple(b for store in shard_stores for b in store.backings),
-        )
-
     def load_index(self, path: str | Path, mmap: bool = False) -> "DiscoveryEngine":
         """Restore embeddings saved by :meth:`save_index`.
 
@@ -345,32 +289,14 @@ class DiscoveryEngine:
         materializing them: the call returns in milliseconds with the
         scan matrices backed by the snapshot files, pages faulting in
         lazily on first access.  Rankings and scores are identical to
-        an eager load.  A sharded snapshot (``shard-<i>/`` directories
-        under a root manifest) loads into the same single store.
+        an eager load.  A path that is not a current segment snapshot
+        raises :class:`~repro.errors.StorageError`; one saved in a
+        retired layout converts with ``python -m repro.storage migrate``.
         """
         path = Path(path)
-        if is_snapshot(path):
-            snapshot = open_snapshot(path, metrics=self.metrics)
-            self._check_snapshot_dtype(snapshot.meta, path)
-            if snapshot.meta.get("kind") == SHARDED_SNAPSHOT_KIND:
-                loaded = self._load_sharded_snapshot(
-                    path, snapshot.meta, snapshot.generation, mmap
-                )
-            else:
-                loaded = load_federation_embeddings(
-                    path, self.encoder, mmap=mmap, metrics=self.metrics
-                )
-        else:
-            # Legacy single-file .npz (or a StorageError for anything else).
-            loaded = load_federation_embeddings(
-                path, self.encoder, mmap=mmap, metrics=self.metrics
-            )
-        if loaded.n_relations and loaded.dim != self.encoder.dim:
-            raise ConfigurationError(
-                f"loaded embeddings are {loaded.dim}-dim but this engine's encoder "
-                f"produces {self.encoder.dim}-dim vectors; configure the engine "
-                "with the encoder settings that built the snapshot"
-            )
+        snapshot = open_snapshot(path, metrics=self.metrics)
+        self._check_snapshot_dtype(snapshot.meta, path)
+        loaded = embeddings_from_snapshot(snapshot, self.encoder, mmap=mmap)
         # Same writer-side swap as index(): loading is a store mutation.
         self._swap_store(loaded)
         return self

@@ -32,18 +32,23 @@ from repro.embedding.base import SentenceEncoder
 from repro.errors import ConfigurationError, StorageError
 from repro.linalg.distances import normalize_rows
 from repro.obs import MetricsRegistry
-from repro.storage import MappedBuffer, SegmentSnapshot, SegmentWriter, open_snapshot
-from repro.storage import npz as legacy_npz
+from repro.storage import (
+    MIGRATE_HINT,
+    MappedBuffer,
+    SegmentSnapshot,
+    SegmentWriter,
+    open_snapshot,
+)
 
 __all__ = [
     "RelationEmbedding",
     "FederationEmbeddings",
     "build_relation_embedding",
     "build_federation_embeddings",
+    "embeddings_from_snapshot",
     "load_federation_embeddings",
     "relation_centroids",
     "save_federation_embeddings",
-    "save_federation_embeddings_npz",
 ]
 
 
@@ -174,13 +179,9 @@ class FederationEmbeddings:
     build_seconds: float = 0.0
     #: Monotonically increasing mutation counter; 0 for a fresh build.
     generation: int = 0
-    #: Whether the store may drain to zero relations.  An engine's store
-    #: never may (an empty federation is a configuration error), but one
-    #: ``shard-<i>/`` directory of a sharded snapshot can hold none.
-    allow_empty: bool = False
-    #: The mapped snapshot files the relation vectors view (``mmap``
-    #: loads only), held so :meth:`release_backing` can close them.
-    backings: "tuple[MappedBuffer, ...]" = field(default=(), repr=False, compare=False)
+    #: The mapped ``vectors`` segment the relation vectors view (``mmap``
+    #: loads only), held so :meth:`release_backing` can close it.
+    backing: "MappedBuffer | None" = field(default=None, repr=False, compare=False)
     #: :func:`relation_centroids` of every relation as read from the
     #: snapshot, with the generation it reflects: ``(matrix, generation)``.
     saved_centroids: "tuple[np.ndarray, int] | None" = field(
@@ -269,7 +270,7 @@ class FederationEmbeddings:
     def remove_relation(self, relation_id: str) -> RelationEmbedding:
         """Retire one relation; returns its (now detached) embedding."""
         pos = self.position(relation_id)
-        if len(self.relations) == 1 and not self.allow_empty:
+        if len(self.relations) == 1:
             raise ConfigurationError(
                 "cannot remove the last relation; federation embeddings must stay non-empty"
             )
@@ -306,10 +307,10 @@ class FederationEmbeddings:
         return matrix, owner
 
     def release_backing(self) -> None:
-        """Close the mapped snapshot files this store holds.  The pages
+        """Close the mapped snapshot file this store holds.  The pages
         survive as long as any relation vectors still view them."""
-        backings, self.backings = self.backings, ()
-        for backing in backings:
+        backing, self.backing = self.backing, None
+        if backing is not None:
             backing.close()
 
 
@@ -342,13 +343,9 @@ def save_federation_embeddings(
     """
     target = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
     relations = embeddings.relations
-    dim = embeddings.dim if relations else embeddings.encoder.dim
-    if relations:
-        stack = np.vstack([r.vectors for r in relations]).astype(target, copy=False)
-        counts = np.concatenate([r.counts for r in relations]).astype(np.int64, copy=False)
-    else:
-        stack = np.empty((0, dim), dtype=target)
-        counts = np.empty(0, dtype=np.int64)
+    dim = embeddings.dim  # an empty store raises here
+    stack = np.vstack([r.vectors for r in relations]).astype(target, copy=False)
+    counts = np.concatenate([r.counts for r in relations]).astype(np.int64, copy=False)
     writer = SegmentWriter(
         path,
         generation=embeddings.generation,
@@ -366,8 +363,7 @@ def save_federation_embeddings(
     writer.add_array(
         "block_sizes", np.array([r.n_unique for r in relations], dtype=np.int64)
     )
-    if relations:
-        writer.add_array("centroids", embeddings.centroids())
+    writer.add_array("centroids", embeddings.centroids())
     writer.add_json(
         "relations",
         {
@@ -379,62 +375,55 @@ def save_federation_embeddings(
     writer.commit()
 
 
-def save_federation_embeddings_npz(
-    embeddings: FederationEmbeddings, path: "str | Path"
-) -> None:
-    """The retired single-file ``.npz`` layout (one array per relation).
-
-    Kept for two consumers only: the compat tests proving old snapshots
-    still load, and the cold-start benchmark's decompress-everything
-    baseline.  New code saves segment snapshots.
-    """
-    arrays: dict[str, np.ndarray] = {
-        "relation_ids": np.array([r.relation_id for r in embeddings.relations]),
-        "build_seconds": np.array([embeddings.build_seconds], dtype=np.float64),
-        "generation": np.array([embeddings.generation], dtype=np.int64),
-    }
-    for i, rel in enumerate(embeddings.relations):
-        arrays[f"vectors_{i}"] = rel.vectors
-        arrays[f"counts_{i}"] = rel.counts
-        arrays[f"values_{i}"] = np.array(rel.values)
-        arrays[f"names_{i}"] = np.array(rel.attr_names)
-    legacy_npz.save_npz(path, arrays)
-
-
-def _check_dim(stored_dim: int, encoder: SentenceEncoder) -> None:
-    if stored_dim != encoder.dim:
-        raise ConfigurationError(
-            f"stored embeddings are {stored_dim}-dim but the "
-            f"encoder produces {encoder.dim}-dim vectors"
-        )
-
-
-def _load_snapshot(
-    snapshot: SegmentSnapshot,
-    encoder: SentenceEncoder,
-    mmap: bool,
-    allow_empty: bool,
+def embeddings_from_snapshot(
+    snapshot: SegmentSnapshot, encoder: SentenceEncoder, mmap: bool = False
 ) -> FederationEmbeddings:
+    """The store an open snapshot holds (see :func:`load_federation_embeddings`).
+
+    Only a ``federation-embeddings`` snapshot that holds relations and
+    their ``centroids`` loads.  Every array's shape is checked
+    before the store exists; a refusal closes the mapped vectors.
+    """
     meta = snapshot.meta
     if meta.get("kind") != SNAPSHOT_KIND:
-        raise ConfigurationError(
+        raise StorageError(
             f"snapshot at {snapshot.path} is a {meta.get('kind')!r} snapshot, "
-            f"not {SNAPSHOT_KIND!r}"
+            f"not {SNAPSHOT_KIND!r}; {MIGRATE_HINT}"
         )
-    _check_dim(int(meta["dim"]), encoder)
+    dim = int(meta["dim"])
+    if dim != encoder.dim:
+        raise ConfigurationError(
+            f"stored embeddings are {dim}-dim but the encoder produces {encoder.dim}-dim vectors"
+        )
     doc = snapshot.json("relations")
+    ids = doc["ids"]
+    if not ids:
+        raise StorageError(f"snapshot at {snapshot.path} holds no relations")
+    if "centroids" not in snapshot.segment_names():
+        raise StorageError(
+            f"snapshot at {snapshot.path} has no centroids segment; {MIGRATE_HINT}"
+        )
     counts = snapshot.array("counts")
     sizes = snapshot.array("block_sizes")
-    # Snapshots written before centroids were persisted compute them.
-    centroids = (
-        snapshot.array("centroids") if "centroids" in snapshot.segment_names() else None
-    )
+    centroids = snapshot.array("centroids")
     backing = snapshot.mapped("vectors") if mmap else None
     try:
         matrix = backing.array if backing is not None else snapshot.array("vectors")
+        n_rows = int(sizes.sum())
+        if (
+            len(sizes) != len(ids)
+            or matrix.shape != (n_rows, dim)
+            or counts.shape != (n_rows,)
+            or centroids.shape != (len(ids), dim)
+        ):
+            raise StorageError(
+                f"snapshot at {snapshot.path} stores {matrix.shape} vectors, "
+                f"{counts.shape} counts and {centroids.shape} centroids for "
+                f"{len(ids)} relations of {n_rows} rows at dim {dim}"
+            )
         relations: list[RelationEmbedding] = []
         start = 0
-        for i, relation_id in enumerate(doc["ids"]):
+        for i, relation_id in enumerate(ids):
             stop = start + int(sizes[i])
             relations.append(
                 RelationEmbedding(
@@ -446,22 +435,16 @@ def _load_snapshot(
                 )
             )
             start = stop
-        if centroids is not None and centroids.shape != (len(relations), int(meta["dim"])):
-            raise StorageError(
-                f"snapshot at {snapshot.path} stores {centroids.shape} centroids "
-                f"for {len(relations)} relations of dim {meta['dim']}"
-            )
         embeddings = FederationEmbeddings(
             relations=relations,
             encoder=encoder,
             build_seconds=float(meta.get("build_seconds", 0.0)),
             generation=snapshot.generation,
-            allow_empty=allow_empty,
-            saved_centroids=None if centroids is None else (centroids, snapshot.generation),
-            backings=() if backing is None else (backing,),
+            saved_centroids=(centroids, snapshot.generation),
+            backing=backing,
         )
     except BaseException:
-        # A malformed document must not strand the mapped pages: until
+        # A malformed snapshot must not strand the mapped pages: until
         # the store holds it, nobody else would ever close this buffer.
         if backing is not None:
             backing.close()
@@ -469,39 +452,11 @@ def _load_snapshot(
     return embeddings
 
 
-def _load_legacy_npz(path: Path, encoder: SentenceEncoder) -> FederationEmbeddings:
-    data = legacy_npz.load_npz(path)
-    relation_ids = [str(r) for r in data["relation_ids"]]
-    # Older snapshots predate these fields; default rather than fail.
-    build_seconds = float(data["build_seconds"][0]) if "build_seconds" in data else 0.0
-    generation = int(data["generation"][0]) if "generation" in data else 0
-    relations = []
-    for i, relation_id in enumerate(relation_ids):
-        vectors = data[f"vectors_{i}"]
-        _check_dim(vectors.shape[1], encoder)
-        relations.append(
-            RelationEmbedding(
-                relation_id=relation_id,
-                values=tuple(str(v) for v in data[f"values_{i}"]),
-                attr_names=tuple(str(n) for n in data[f"names_{i}"]),
-                vectors=vectors,
-                counts=data[f"counts_{i}"],
-            )
-        )
-    return FederationEmbeddings(
-        relations=relations,
-        encoder=encoder,
-        build_seconds=build_seconds,
-        generation=generation,
-    )
-
-
 def load_federation_embeddings(
     path: "str | Path",
     encoder: SentenceEncoder,
     mmap: bool = False,
     metrics: "MetricsRegistry | None" = None,
-    allow_empty: bool = False,
 ) -> FederationEmbeddings:
     """Restore embeddings saved by :func:`save_federation_embeddings`.
 
@@ -513,21 +468,11 @@ def load_federation_embeddings(
     every relation's ``vectors`` a zero-copy view into the mapping, and
     data pages fault in lazily on first scan.  Eager loads verify the
     full crc32 digests; mapped loads check payload sizes only (hashing
-    would page everything in).  Legacy single-file ``.npz`` snapshots
-    still load eagerly — ``mmap=True`` on one is a
-    :class:`ConfigurationError` since a compressed archive cannot be
-    mapped.
+    would page everything in).  A path that is not a current segment
+    snapshot raises :class:`~repro.errors.StorageError`; one saved in a
+    retired layout converts with ``python -m repro.storage migrate``.
     """
-    path = Path(path)
-    if legacy_npz.is_npz(path):
-        if mmap:
-            raise ConfigurationError(
-                f"{path} is a legacy compressed .npz snapshot and cannot be "
-                "memory-mapped; re-save it as a segment snapshot for mmap loads"
-            )
-        return _load_legacy_npz(path, encoder)
-    snapshot = open_snapshot(path, metrics=metrics)
-    return _load_snapshot(snapshot, encoder, mmap=mmap, allow_empty=allow_empty)
+    return embeddings_from_snapshot(open_snapshot(path, metrics=metrics), encoder, mmap=mmap)
 
 
 def build_federation_embeddings(

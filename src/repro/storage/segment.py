@@ -43,10 +43,15 @@ from repro.errors import StorageError
 from repro.obs import MetricsRegistry
 from repro.storage.mapped import MappedBuffer
 
-__all__ = ["SegmentSnapshot", "SegmentWriter", "is_snapshot", "open_snapshot"]
+__all__ = ["MIGRATE_HINT", "SegmentSnapshot", "SegmentWriter", "open_snapshot"]
 
 MANIFEST = "manifest.json"
 FORMAT = "repro-segments-v1"
+#: Appended to a refusal of a snapshot in a retired layout.
+MIGRATE_HINT = (
+    "snapshots saved in an older layout convert with "
+    "`python -m repro.storage migrate SRC DST`"
+)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _EPOCH_RE = re.compile(r"^\d{8}\.")
@@ -133,7 +138,7 @@ class SegmentWriter:
         try:
             previous = json.loads(manifest_path.read_text(encoding="utf-8"))
             return int(previous.get("epoch", -1)) + 1
-        except (OSError, ValueError):
+        except (OSError, ValueError, TypeError, AttributeError):
             return 0
 
     def commit(self) -> Path:
@@ -201,25 +206,40 @@ class SegmentSnapshot:
     """A committed snapshot, opened for reading.
 
     :meth:`array` materializes a segment eagerly with full digest
-    verification; :meth:`mapped` returns a refcounted
+    verification; :meth:`mapped` returns a
     :class:`~repro.storage.MappedBuffer` over the same file (size
-    checked, lazily paged); :meth:`json` decodes a document.
+    checked, lazily paged) that the caller owns; :meth:`json` decodes a
+    document.  A manifest missing any field a reader uses is refused
+    here with :class:`~repro.errors.StorageError`.
     """
 
     def __init__(self, path: Path, manifest: dict[str, Any], metrics: MetricsRegistry) -> None:
         self.path = path
         self.metrics = metrics
-        self.epoch = int(manifest["epoch"])
-        self.generation = int(manifest["generation"])
-        self.meta: dict[str, Any] = manifest.get("meta", {})
-        self._segments: dict[str, Any] = manifest.get("segments", {})
-        self._documents: dict[str, Any] = manifest.get("documents", {})
+        try:
+            self.epoch = int(manifest["epoch"])
+            self.generation = int(manifest["generation"])
+            self.meta: dict[str, Any] = dict(manifest.get("meta", {}))
+            self._segments: dict[str, Any] = dict(manifest.get("segments", {}))
+            self._documents: dict[str, Any] = dict(manifest.get("documents", {}))
+            # Every field a reader uses, present before any read, and
+            # payload files inside the snapshot directory.
+            for table, fields in (
+                (self._segments, {"file", "nbytes", "crc32", "dtype", "shape"}),
+                (self._documents, {"file", "nbytes", "crc32"}),
+            ):
+                for entry in table.values():
+                    int(entry["nbytes"])
+                    if fields - entry.keys():
+                        raise KeyError(sorted(fields - entry.keys()))
+                    _validate_name(entry["file"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise StorageError(
+                f"snapshot manifest {path / MANIFEST} is malformed: {exc!r}"
+            ) from exc
 
     def segment_names(self) -> list[str]:
         return sorted(self._segments)
-
-    def document_names(self) -> list[str]:
-        return sorted(self._documents)
 
     def _entry(self, table: dict[str, Any], name: str, what: str) -> dict[str, Any]:
         entry = table.get(name)
@@ -292,18 +312,6 @@ class SegmentSnapshot:
                     )
 
 
-def is_snapshot(path: "str | Path") -> bool:
-    """Whether ``path`` is a committed segment-snapshot directory."""
-    manifest_path = Path(path) / MANIFEST
-    if not manifest_path.is_file():
-        return False
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return False
-    return isinstance(manifest, dict) and manifest.get("format") == FORMAT
-
-
 def open_snapshot(
     path: "str | Path", metrics: "MetricsRegistry | None" = None
 ) -> SegmentSnapshot:
@@ -313,13 +321,16 @@ def open_snapshot(
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise StorageError(f"no snapshot at {path}: {exc}") from exc
+        hint = f"; {MIGRATE_HINT}" if path.exists() else ""
+        raise StorageError(f"no segment snapshot at {path}: {exc}{hint}") from exc
     except ValueError as exc:
         raise StorageError(f"snapshot manifest {manifest_path} is malformed: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
+    if not isinstance(manifest, dict):
+        raise StorageError(f"snapshot manifest {manifest_path} is not a JSON object")
+    if manifest.get("format") != FORMAT:
         raise StorageError(
             f"snapshot manifest {manifest_path} has format "
-            f"{manifest.get('format')!r}, expected {FORMAT!r}"
+            f"{manifest.get('format')!r}, expected {FORMAT!r}; {MIGRATE_HINT}"
         )
     snapshot = SegmentSnapshot(
         path, manifest, metrics if metrics is not None else MetricsRegistry()

@@ -5,7 +5,7 @@ payloads ("relation ID, attribute name, etc."), compressed with Product
 Quantization and indexed with HNSW.  This package provides the same
 surface: named collections of points (id + vector + payload), payload
 filters, cosine/dot/euclidean metrics, exact search plus pluggable ANN
-indexes, and snapshot persistence — all in-process.
+indexes — all in-process.
 """
 
 from repro.vectordb.collection import Collection, Point, ScoredPoint

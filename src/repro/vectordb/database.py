@@ -1,34 +1,24 @@
-"""The vector database: named collections plus snapshot persistence."""
+"""The vector database: named collections."""
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from repro.errors import CollectionExistsError, CollectionNotFoundError
 from repro.linalg.distances import Metric
 from repro.obs import MetricsRegistry
-from repro.storage import SegmentWriter, is_snapshot, open_snapshot
-from repro.storage import npz as legacy_npz
-from repro.vectordb.collection import Collection, Point
+from repro.vectordb.collection import Collection
 
 __all__ = ["VectorDatabase"]
-
-_MANIFEST = "manifest.json"
-
-#: ``meta["kind"]`` tag of a vector-database snapshot.
-SNAPSHOT_KIND = "vectordb"
 
 
 class VectorDatabase:
     """An in-process, multi-collection vector store.
 
-    Collections are created with :meth:`create_collection`, addressed by
-    name, and can be persisted to / restored from a snapshot directory
-    (vectors as ``.npz``, payloads and config as JSON).  A shared
+    Collections are created with :meth:`create_collection` and addressed
+    by name.  Nothing here persists: search methods rebuild their
+    collections from the federation embeddings, which
+    :meth:`~repro.core.DiscoveryEngine.save_index` persists.  A shared
     :class:`MetricsRegistry` may be passed in so every collection's
     scan counters land in one place (search methods pass the engine's).
     """
@@ -75,101 +65,3 @@ class VectorDatabase:
 
     def __len__(self) -> int:
         return len(self._collections)
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, directory: str | Path) -> None:
-        """Snapshot every collection into ``directory`` as one atomic
-        segment commit.
-
-        Layout: a :mod:`repro.storage` snapshot whose manifest carries
-        each collection's config, with one ``<name>.vectors`` array
-        segment and one ``<name>.payloads`` JSON document per
-        collection.  The manifest is replaced last, so a crash mid-save
-        leaves the previous snapshot fully readable — never a manifest
-        pointing at half-written vectors.  Attached ANN indexes are not
-        persisted — they are cheap to rebuild relative to re-embedding,
-        and rebuilding keeps the snapshot format independent of index
-        internals.
-        """
-        collections: dict[str, dict[str, Any]] = {}
-        writer = SegmentWriter(
-            directory,
-            meta={"kind": SNAPSHOT_KIND, "collections": collections},
-            metrics=self.metrics,
-        )
-        for name, collection in self._collections.items():
-            collections[name] = {
-                "dim": collection.dim,
-                "metric": collection.metric.value,
-                "dtype": collection.dtype.name,
-                "index": collection.index_kind.value if collection.index_kind else None,
-            }
-            writer.add_array(f"{name}.vectors", collection.vectors)
-            points = collection.scroll()
-            writer.add_json(
-                f"{name}.payloads", [{"id": p.id, "payload": p.payload} for p in points]
-            )
-        writer.commit()
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "VectorDatabase":
-        """Restore a database from a snapshot directory.
-
-        Segment snapshots are digest-verified on read: a truncated
-        vectors segment or corrupted payload raises
-        :class:`~repro.errors.StorageError` here instead of surfacing
-        as garbage rankings later.  Pre-segment snapshots (a bare
-        ``manifest.json`` plus ``.npz`` files) still load.
-        """
-        directory = Path(directory)
-        if is_snapshot(directory):
-            snapshot = open_snapshot(directory)
-            db = cls()
-            for name, info in snapshot.meta["collections"].items():
-                collection = db.create_collection(
-                    name,
-                    dim=info["dim"],
-                    metric=Metric(info["metric"]),
-                    dtype=info.get("dtype", "float64"),
-                )
-                vectors = snapshot.array(f"{name}.vectors")
-                records = snapshot.json(f"{name}.payloads")
-                db._restore(collection, vectors, records, info.get("index"))
-            return db
-        return cls._load_legacy(directory)
-
-    @classmethod
-    def _load_legacy(cls, directory: Path) -> "VectorDatabase":
-        """The pre-segment layout: raw ``manifest.json`` + per-collection
-        ``.npz`` / ``.payloads.json`` files, no checksums."""
-        with open(directory / _MANIFEST) as fh:
-            manifest = json.load(fh)
-        db = cls()
-        for name, info in manifest.items():
-            collection = db.create_collection(
-                name,
-                dim=info["dim"],
-                metric=Metric(info["metric"]),
-                dtype=info.get("dtype", "float64"),
-            )
-            vectors = legacy_npz.load_npz(directory / f"{name}.npz")["vectors"]
-            with open(directory / f"{name}.payloads.json") as fh:
-                records = json.load(fh)
-            db._restore(collection, vectors, records, info.get("index"))
-        return db
-
-    @staticmethod
-    def _restore(
-        collection: Collection,
-        vectors: np.ndarray,
-        records: list[dict[str, Any]],
-        index: "str | None",
-    ) -> None:
-        points = [
-            Point(rec["id"], vectors[row], rec["payload"])
-            for row, rec in enumerate(records)
-        ]
-        collection.upsert(points)
-        if index:
-            collection.create_index(index)

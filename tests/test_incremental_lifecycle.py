@@ -371,7 +371,7 @@ class TestStoreLifecycle:
 
         store.add_relation(qualified(4), make_relation(4))
         store.remove_relation(qualified(0))
-        path = tmp_path / "live.npz"
+        path = tmp_path / "live"
         save_federation_embeddings(store, path)
         loaded = load_federation_embeddings(path, store.encoder)
         assert loaded.generation == store.generation == 2

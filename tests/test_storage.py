@@ -4,7 +4,7 @@ Covers the format contract end to end: atomic commits with the
 manifest as the commit point, epoch-prefixed payloads surviving
 re-commits under live mappings, both integrity strengths (stat-check at
 open, crc32 on eager reads), mapped-buffer leak accounting, and the
-quarantined legacy-npz shims.
+refusal of anything that is not a well-formed snapshot.
 """
 
 import json
@@ -16,12 +16,10 @@ from repro.errors import StorageError
 from repro.obs import MetricsRegistry
 from repro.storage import (
     SegmentWriter,
-    is_snapshot,
     live_mapped_nbytes,
     live_mapped_paths,
     open_snapshot,
 )
-from repro.storage import npz as legacy_npz
 
 
 @pytest.fixture
@@ -57,12 +55,15 @@ class TestWriterAndSnapshot:
         assert snap.json("doc") == {"names": ["solé", "日本"]}
 
     def test_is_snapshot(self, tmp_path, rng):
-        assert not is_snapshot(tmp_path)  # empty dir
-        legacy_npz.save_npz(tmp_path / "old.npz", {"x": np.zeros(2, dtype=np.float64)})
-        assert not is_snapshot(tmp_path / "old.npz")
-        assert legacy_npz.is_npz(tmp_path / "old.npz")
+        """Only a committed snapshot opens; an empty directory or a
+        single-file archive is refused, naming the migration command."""
+        with pytest.raises(StorageError, match="repro.storage migrate"):
+            open_snapshot(tmp_path)  # empty dir
+        np.savez_compressed(tmp_path / "old.npz", x=np.zeros(2, dtype=np.float64))
+        with pytest.raises(StorageError, match="repro.storage migrate"):
+            open_snapshot(tmp_path / "old.npz")
         write_snapshot(tmp_path / "snap", rng=rng)
-        assert is_snapshot(tmp_path / "snap")
+        assert open_snapshot(tmp_path / "snap").generation == 3
 
     def test_uncommitted_writer_leaves_snapshot_untouched(self, tmp_path, rng):
         write_snapshot(tmp_path / "snap", generation=1, rng=rng)
@@ -100,6 +101,37 @@ class TestWriterAndSnapshot:
         (tmp_path / "bad" / "manifest.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(StorageError):
             open_snapshot(tmp_path / "bad")
+        good = json.loads(
+            (write_snapshot(tmp_path / "good") / "manifest.json").read_text()
+        )
+        segment = good["segments"]["vectors"]
+        document = good["documents"]["relations"]
+        malformed = [
+            [1, 2],
+            "manifest",
+            {**good, "epoch": None},
+            {k: v for k, v in good.items() if k != "epoch"},
+            {k: v for k, v in good.items() if k != "generation"},
+            {**good, "generation": "later"},
+            {**good, "meta": "kind"},
+            {**good, "segments": [segment]},
+            {**good, "segments": {"vectors": "00000000.vectors.seg"}},
+            {**good, "documents": {"relations": {**document, "nbytes": "many"}}},
+            {**good, "segments": {"vectors": {**segment, "file": "../escape.seg"}}},
+        ]
+        for field in ("file", "nbytes", "dtype", "shape", "crc32"):
+            entry = {k: v for k, v in segment.items() if k != field}
+            malformed.append({**good, "segments": {**good["segments"], "vectors": entry}})
+        for field in ("file", "nbytes", "crc32"):
+            entry = {k: v for k, v in document.items() if k != field}
+            malformed.append({**good, "documents": {"relations": entry}})
+        for manifest in malformed:
+            (tmp_path / "bad" / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(StorageError):
+                open_snapshot(tmp_path / "bad")
+            # A writer commits a fresh snapshot over any of them.
+            write_snapshot(tmp_path / "bad")
+            assert open_snapshot(tmp_path / "bad").generation == 3
 
     def test_commit_records_metrics(self, tmp_path, rng):
         metrics = MetricsRegistry()
@@ -172,7 +204,7 @@ class TestEpochs:
         sub = path / "shard-0"
         write_snapshot(sub, rng=rng)
         write_snapshot(path, generation=5, rng=rng)
-        assert is_snapshot(sub)
+        assert open_snapshot(sub).generation == 3
 
 
 class TestMappedBuffer:

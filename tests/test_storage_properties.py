@@ -7,25 +7,25 @@ exact (the snapshot stores the engine's scan dtype, so the mapped bytes
 ARE the cold-build bytes).  That must hold across methods, ``shards=``
 values, both scan dtypes, across lifecycle deltas applied after a load,
 and for the sharded layout (``shard-<i>/`` sub-snapshots under a root
-manifest) that engines built with ``shards > 1`` used to save.
+manifest) that engines built with ``shards > 1`` used to save, once
+``repro.storage.migrate`` has converted it.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.core import DiscoveryEngine
-from repro.core.engine import SHARDED_SNAPSHOT_KIND
-from repro.core.semimg import (
-    FederationEmbeddings,
-    relation_centroids,
-    save_federation_embeddings,
-)
-from repro.datamodel.relation import Federation, Relation
+from repro.core.semimg import relation_centroids
+from repro.datamodel.relation import Federation
 from repro.errors import ConfigurationError, StorageError
 from repro.storage import SegmentWriter, live_mapped_paths, open_snapshot
+from repro.storage.migrate import migrate
 
+from tests.legacy_layouts import save_sharded, save_without_centroids
 from tests.test_sharding import (
     QUERIES,
     assert_same_rankings,
@@ -46,46 +46,6 @@ def make_engine(shards: int = 1, dtype: type = np.float32) -> DiscoveryEngine:
         dtype=dtype,
         executor="inline",
     )
-
-
-def save_sharded_snapshot(
-    store: FederationEmbeddings,
-    path,
-    shards: int,
-    dtype: type = np.float32,
-    generations: "list[int] | None" = None,
-) -> None:
-    """Write ``store`` in the sharded layout: relation ``i`` in
-    ``shard-<i % shards>/`` (a federation-embeddings snapshot at its own
-    generation), then the root manifest carrying the relation order and
-    the generation it expects of each shard (``generations``; the true
-    ones by default)."""
-    parts = [
-        FederationEmbeddings(
-            relations=store.relations[shard::shards],
-            encoder=store.encoder,
-            generation=10 + shard,
-            allow_empty=True,
-        )
-        for shard in range(shards)
-    ]
-    for shard, part in enumerate(parts):
-        save_federation_embeddings(part, path / f"shard-{shard}", dtype=dtype)
-    SegmentWriter(
-        path,
-        generation=store.generation,
-        meta={
-            "kind": SHARDED_SNAPSHOT_KIND,
-            "dim": store.dim,
-            "dtype": np.dtype(dtype).name,
-            "sharded": {
-                "shards": shards,
-                "seed": 0,
-                "relation_order": store.relation_ids(),
-                "shard_generations": generations or [part.generation for part in parts],
-            },
-        },
-    ).commit()
 
 
 def assert_scores_exact(a: DiscoveryEngine, b: DiscoveryEngine, method: str) -> None:
@@ -150,13 +110,14 @@ def test_deltas_after_load_match_deltas_after_build(tmp_path, shards, mmap):
 
 @pytest.mark.parametrize("saved_shards,loaded_shards", [(5, 2), (2, 1), (1, 3)])
 def test_layout_change_repartitions_identically(tmp_path, saved_shards, loaded_shards):
-    """A snapshot saved in any shard layout loads under any ``shards=``
-    with the cold build's exact scores, and ``close()`` unmaps every
-    shard file."""
+    """A snapshot saved in any shard layout, migrated, loads under any
+    ``shards=`` with the cold build's exact scores, and ``close()``
+    unmaps it."""
     fed = federation()
     with make_engine().index(fed) as cold:
         if saved_shards > 1:
-            save_sharded_snapshot(cold.embeddings, tmp_path / "snap", saved_shards)
+            save_sharded(cold.embeddings, tmp_path / "old", saved_shards)
+            migrate(tmp_path / "old", tmp_path / "snap")
         else:
             cold.save_index(tmp_path / "snap")
         loaded = make_engine(loaded_shards).load_index(tmp_path / "snap", mmap=True)
@@ -167,17 +128,19 @@ def test_layout_change_repartitions_identically(tmp_path, saved_shards, loaded_s
 
 @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
 def test_sharded_snapshot_loads_like_a_cold_build(tmp_path, mmap):
-    """One store from every ``shard-<i>/``, in the root's relation
-    order and at the root's generation, answering ExS with the cold
-    build's bits; a mapped load holds every shard file until close."""
+    """Migration makes one store from every ``shard-<i>/``, in the
+    root's relation order and at the root's generation, answering ExS
+    with the cold build's bits; a mapped load holds its one vectors
+    file until close."""
     fed = federation()
     with make_engine().index(fed) as cold:
         cold.update_relations({qualified(2): make_relation(2, version=1)})
-        save_sharded_snapshot(cold.embeddings, tmp_path / "snap", shards=3)
+        save_sharded(cold.embeddings, tmp_path / "old", shards=3)
+        migrate(tmp_path / "old", tmp_path / "snap")
         with make_engine().load_index(tmp_path / "snap", mmap=mmap) as warm:
             assert warm.embeddings.relation_ids() == cold.embeddings.relation_ids()
             assert warm.embeddings.generation == cold.embeddings.generation
-            assert len(live_mapped_paths()) == (3 if mmap else 0)
+            assert len(live_mapped_paths()) == (1 if mmap else 0)
             assert_scores_exact(cold, warm, "exs")
     assert not live_mapped_paths()
 
@@ -185,26 +148,45 @@ def test_sharded_snapshot_loads_like_a_cold_build(tmp_path, mmap):
 @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
 def test_torn_sharded_snapshot_is_refused(tmp_path, mmap):
     """A shard at another generation than the root recorded is a torn
-    multi-shard save: refused, with nothing left mapped."""
+    multi-shard save: ``migrate`` refuses it and writes no output, and
+    ``load_index`` refuses the root itself, with nothing left mapped."""
     with make_engine().index(federation()) as cold:
-        save_sharded_snapshot(
-            cold.embeddings, tmp_path / "snap", shards=3, generations=[10, 99, 12]
-        )
+        save_sharded(cold.embeddings, tmp_path / "old", shards=3, generations=[10, 99, 12])
+    with pytest.raises(StorageError, match="shard-1 .* generation 11, root manifest expects 99"):
+        migrate(tmp_path / "old", tmp_path / "snap")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
     with make_engine() as warm:
-        with pytest.raises(StorageError, match="shard-1 .* generation 11, root manifest expects 99"):
-            warm.load_index(tmp_path / "snap", mmap=mmap)
+        with pytest.raises(StorageError, match="repro.storage migrate"):
+            warm.load_index(tmp_path / "old", mmap=mmap)
         assert not warm.is_indexed
     assert not live_mapped_paths()
 
 
-@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_saved_centroids_are_the_computed_bits(tmp_path, dtype, mmap):
+@pytest.mark.parametrize(
+    "dtype,mmap,saved_without",
+    [
+        pytest.param(np.float32, False, False, id="f32-eager"),
+        pytest.param(np.float32, True, False, id="f32-mmap"),
+        pytest.param(np.float64, False, False, id="f64-eager"),
+        pytest.param(np.float64, True, False, id="f64-mmap"),
+        pytest.param(np.float64, True, True, id="f64-mmap-migrated"),
+    ],
+)
+def test_saved_centroids_are_the_computed_bits(tmp_path, dtype, mmap, saved_without):
     """A snapshot carries the ExS centroids, so a load serves them
     without a pass over every value vector — and they are exactly what
-    that pass would compute, until a delta makes the store recompute."""
+    that pass would compute, until a delta makes the store recompute.
+    A snapshot saved without them is refused until ``migrate`` adds
+    them."""
     with make_engine(dtype=dtype).index(federation()) as cold:
-        cold.save_index(tmp_path / "snap")
+        if saved_without:
+            save_without_centroids(cold.embeddings, tmp_path / "old", dtype=dtype)
+            with make_engine(dtype=dtype) as refusing:
+                with pytest.raises(StorageError, match="no centroids .* repro.storage migrate"):
+                    refusing.load_index(tmp_path / "old", mmap=mmap)
+            migrate(tmp_path / "old", tmp_path / "snap")
+        else:
+            cold.save_index(tmp_path / "snap")
     with make_engine(dtype=dtype).load_index(tmp_path / "snap", mmap=mmap) as warm:
         store = warm.embeddings
         saved, generation = store.saved_centroids
@@ -233,6 +215,41 @@ def test_misshapen_saved_centroids_are_refused(tmp_path, mmap):
     assert not live_mapped_paths()
 
 
+def test_reshaped_vectors_are_refused_with_nothing_mapped(tmp_path):
+    """A manifest whose ``vectors`` shape keeps the byte count but not
+    the rows and dim passes the size check; the load must refuse it as
+    a storage fault and close the mapping it opened."""
+    with make_engine().index(federation(4)) as cold:
+        cold.save_index(tmp_path / "snap")
+    manifest_path = tmp_path / "snap" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    rows, dim = manifest["segments"]["vectors"]["shape"]
+    manifest["segments"]["vectors"]["shape"] = [2 * rows, dim // 2]
+    manifest_path.write_text(json.dumps(manifest))
+    with make_engine() as warm:
+        with pytest.raises(StorageError, match="vectors"):
+            warm.load_index(tmp_path / "snap", mmap=True)
+        assert not warm.is_indexed
+    assert not live_mapped_paths()
+
+
+def test_snapshot_without_relations_is_refused(tmp_path):
+    """An engine never holds an empty store (``index`` and deltas refuse
+    one), so a snapshot of none is refused at load, not at first search."""
+    with make_engine().index(federation(2)) as cold:
+        cold.save_index(tmp_path / "snap")
+    snapshot = open_snapshot(tmp_path / "snap")
+    writer = SegmentWriter(tmp_path / "snap", generation=snapshot.generation, meta=snapshot.meta)
+    for name in snapshot.segment_names():
+        writer.add_array(name, snapshot.array(name)[:0])
+    writer.add_json("relations", {"ids": [], "values": [], "names": []})
+    writer.commit()
+    with make_engine() as warm:
+        with pytest.raises(StorageError, match="no relations"):
+            warm.load_index(tmp_path / "snap")
+        assert not warm.is_indexed
+
+
 class TestDtypeMismatch:
     """Satellite regression: a snapshot's stored dtype must match the
     loading engine's configured dtype, failing loudly up front."""
@@ -248,10 +265,11 @@ class TestDtypeMismatch:
             assert not mismatched.is_indexed
 
     def test_sharded_snapshot_checked_at_the_root(self, tmp_path):
+        """The root's dtype is the one ``migrate`` keeps."""
         with make_engine(dtype=np.float64).index(federation(6)) as engine:
-            save_sharded_snapshot(
-                engine.embeddings, tmp_path / "snap", shards=3, dtype=np.float64
-            )
+            save_sharded(engine.embeddings, tmp_path / "old", shards=3, dtype=np.float64)
+        migrate(tmp_path / "old", tmp_path / "snap")
+        assert open_snapshot(tmp_path / "snap").meta["dtype"] == "float64"
         with make_engine(shards=3, dtype=np.float32) as mismatched:
             with pytest.raises(ConfigurationError) as excinfo:
                 mismatched.load_index(tmp_path / "snap", mmap=True)

@@ -1,4 +1,4 @@
-"""Tests for the vector database: filters, collections, persistence."""
+"""Tests for the vector database: filters, collections and the database."""
 
 import numpy as np
 import pytest
@@ -206,97 +206,3 @@ class TestVectorDatabase:
         db.create_collection("zz", dim=2)
         db.create_collection("aa", dim=2)
         assert db.list_collections() == ["aa", "zz"]
-
-    def test_save_load_roundtrip(self, tmp_path, rng):
-        db = VectorDatabase()
-        col = db.create_collection("stuff", dim=6, metric=Metric.EUCLIDEAN)
-        points = [Point(f"p{i}", rng.standard_normal(6), {"i": i}) for i in range(20)]
-        col.upsert(points)
-        col.create_index("hnsw", m=4, ef_construction=20)
-        db.save(tmp_path / "snap")
-
-        restored = VectorDatabase.load(tmp_path / "snap")
-        col2 = restored.get_collection("stuff")
-        assert len(col2) == 20
-        assert col2.metric is Metric.EUCLIDEAN
-        assert col2.index_kind is not None
-        original = col.get("p3")
-        loaded = col2.get("p3")
-        np.testing.assert_allclose(loaded.vector, original.vector)
-        assert loaded.payload == original.payload
-
-    def test_loaded_search_matches(self, tmp_path, rng):
-        db = VectorDatabase()
-        col = db.create_collection("s", dim=5)
-        col.upsert([Point(i, rng.standard_normal(5), {}) for i in range(30)])
-        q = rng.standard_normal(5)
-        expected = [h.id for h in col.search(q, 5)]
-        db.save(tmp_path / "x")
-        got = [h.id for h in VectorDatabase.load(tmp_path / "x").get_collection("s").search(q, 5)]
-        assert got == expected
-
-    def test_save_commits_atomically(self, tmp_path, rng):
-        """A re-save that never commits — or a crash mid-save — leaves
-        the previous snapshot fully loadable (manifest is the commit
-        point, payloads land under a fresh epoch prefix first)."""
-        db = VectorDatabase()
-        db.create_collection("s", dim=4).upsert(
-            [Point(i, rng.standard_normal(4), {}) for i in range(10)]
-        )
-        db.save(tmp_path / "snap")
-        manifest_before = (tmp_path / "snap" / "manifest.json").read_bytes()
-        assert len(VectorDatabase.load(tmp_path / "snap").get_collection("s")) == 10
-        # Loading touched nothing: the committed manifest is unchanged.
-        assert (tmp_path / "snap" / "manifest.json").read_bytes() == manifest_before
-
-    def test_truncated_vectors_raise_storage_error(self, tmp_path, rng):
-        """Satellite regression: a torn vector segment must raise
-        StorageError at load, never surface as garbage rankings."""
-        from repro.errors import StorageError
-
-        db = VectorDatabase()
-        db.create_collection("s", dim=4).upsert(
-            [Point(i, rng.standard_normal(4), {}) for i in range(10)]
-        )
-        db.save(tmp_path / "snap")
-        seg = next(p for p in (tmp_path / "snap").iterdir() if p.name.endswith(".seg"))
-        seg.write_bytes(seg.read_bytes()[:-16])
-        with pytest.raises(StorageError, match="torn"):
-            VectorDatabase.load(tmp_path / "snap")
-
-    def test_corrupted_vectors_fail_the_digest(self, tmp_path, rng):
-        from repro.errors import StorageError
-
-        db = VectorDatabase()
-        db.create_collection("s", dim=4).upsert(
-            [Point(i, rng.standard_normal(4), {}) for i in range(10)]
-        )
-        db.save(tmp_path / "snap")
-        seg = next(p for p in (tmp_path / "snap").iterdir() if p.name.endswith(".seg"))
-        data = bytearray(seg.read_bytes())
-        data[5] ^= 0xFF  # size unchanged: only the crc32 can see this
-        seg.write_bytes(bytes(data))
-        with pytest.raises(StorageError, match="crc32"):
-            VectorDatabase.load(tmp_path / "snap")
-
-    def test_legacy_snapshot_layout_still_loads(self, tmp_path, rng):
-        """Pre-segment snapshots (bare manifest.json + .npz files, no
-        checksums) keep loading through the legacy fallback."""
-        import json
-
-        from repro.storage import npz as legacy_npz
-
-        directory = tmp_path / "old"
-        directory.mkdir()
-        vectors = rng.standard_normal((3, 4))
-        legacy_npz.save_npz(directory / "s.npz", {"vectors": vectors})
-        (directory / "s.payloads.json").write_text(
-            json.dumps([{"id": f"p{i}", "payload": {"i": i}} for i in range(3)])
-        )
-        (directory / "manifest.json").write_text(
-            json.dumps({"s": {"dim": 4, "metric": "cosine", "index": None}})
-        )
-        restored = VectorDatabase.load(directory)
-        col = restored.get_collection("s")
-        assert len(col) == 3
-        np.testing.assert_allclose(col.get("p1").vector, vectors[1])
