@@ -91,6 +91,6 @@ def test_bench_vectordb_indexed_search(benchmark, vectors):
     collection = Collection("bench", dim=64)
     collection.upsert([Point(i, v, {"i": i}) for i, v in enumerate(vectors)])
     collection.create_index("hnsw", m=8, ef_construction=60)
-    query = np.random.default_rng(4).standard_normal(64)
-    hits = benchmark(collection.search, query, 10)
-    assert len(hits) == 10
+    query = np.random.default_rng(4).standard_normal((1, 64))
+    rows, _ = benchmark(collection.search_rows, query, 10)[0]
+    assert len(rows) == 10

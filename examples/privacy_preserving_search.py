@@ -19,18 +19,19 @@ Run:
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.semimg import build_relation_embedding
 from repro.data.covid import cdc_relation, ecdc_relation, who_relation
 from repro.embedding import CachingEncoder, SemanticHashEncoder
 from repro.linalg.distances import Metric
 from repro.storage import SegmentWriter, open_snapshot
-from repro.vectordb import Point, VectorDatabase
+from repro.vectordb import Collection, Point
 
 
-def site_export(site: str, relation, encoder, db: VectorDatabase) -> None:
+def site_export(site: str, relation, encoder, collection: Collection) -> None:
     """What runs inside each site: embed locally, export vectors only."""
     embedding = build_relation_embedding(f"{site}/{relation.name}", relation, encoder)
-    collection = db.get_collection("federation")
     start = len(collection)
     collection.upsert(
         [
@@ -49,29 +50,31 @@ def site_export(site: str, relation, encoder, db: VectorDatabase) -> None:
 
 def main() -> None:
     encoder = CachingEncoder(SemanticHashEncoder(dim=256))
-    db = VectorDatabase()
-    db.create_collection("federation", dim=256, metric=Metric.COSINE)
+    exported = Collection("federation", dim=256, metric=Metric.COSINE)
 
     for site, relation in (
         ("who.int", who_relation()),
         ("cdc.gov", cdc_relation()),
         ("ecdc.europa.eu", ecdc_relation()),
     ):
-        site_export(site, relation, encoder, db)
+        site_export(site, relation, encoder, exported)
 
     with tempfile.TemporaryDirectory() as tmp:
         snapshot = Path(tmp) / "federation-snapshot"
-        exported = db.get_collection("federation")
         writer = SegmentWriter(snapshot)
         writer.add_array("vectors", exported.vectors)
-        writer.add_json("points", [{"id": p.id, "payload": p.payload} for p in exported.scroll()])
+        rows = np.arange(len(exported))
+        writer.add_json(
+            "points",
+            [{"id": int(row), "payload": payload}
+             for row, payload in zip(rows, exported.payloads_at(rows))],
+        )
         writer.commit()
         print(f"exported snapshot: {sorted(p.name for p in snapshot.iterdir())}\n")
 
         shared = open_snapshot(snapshot)
         vectors = shared.array("vectors")
-        coordinator = VectorDatabase()
-        collection = coordinator.create_collection("federation", dim=256, metric=Metric.COSINE)
+        collection = Collection("federation", dim=256, metric=Metric.COSINE)
         collection.upsert(
             [
                 Point(id=rec["id"], vector=vectors[row], payload=rec["payload"])
@@ -83,11 +86,12 @@ def main() -> None:
         query = "covid vaccine doses"
         q = encoder.encode_one(query)
         print(f"query: {query!r}")
+        rows, scores = collection.search_rows(q[np.newaxis, :], k=12)[0]
         seen = {}
-        for hit in collection.search(q, k=12):
-            dataset = hit.payload["dataset"]
+        for payload, score in zip(collection.payloads_at(rows), scores.tolist()):
+            dataset = payload["dataset"]
             if dataset not in seen:
-                seen[dataset] = (hit.score, hit.payload["site"], hit.payload["column"])
+                seen[dataset] = (score, payload["site"], payload["column"])
         for dataset, (score, site, column) in sorted(seen.items(), key=lambda kv: -kv[1][0]):
             print(f"   {score:6.3f}  {dataset:20} (owner {site}, first match in {column!r})")
         print("\nNo cell value ever left its site — only embeddings did.")

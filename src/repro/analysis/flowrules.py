@@ -142,7 +142,6 @@ _BLOCKING_ATTR_CALLS = frozenset(
         "gemm_candidates",
         "rowwise_scores",
         "segment_scores",
-        "adc_scores_batch",
         "search",
         "search_batch",
     }
@@ -159,7 +158,6 @@ _BLOCKING_BARE_CALLS = frozenset(
         "gemm_candidates",
         "rowwise_scores",
         "segment_scores",
-        "adc_scores_batch",
         "open_snapshot",
         "save_federation_embeddings",
         "load_federation_embeddings",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from typing import Any
 
 import numpy as np
 
@@ -43,14 +44,14 @@ class VectorIndex(abc.ABC):
     """A k-NN index over a fixed set of vectors.
 
     Concrete indexes are built once with :meth:`build` (or incrementally
-    where supported) and then queried with :meth:`search`.
+    where supported) and answer queries with :meth:`search_rows`.
 
     Dtype contract: the build dtype (float32 or float64) is preserved —
     a float32 store is scanned at float32 bandwidth — and queries are
     cast to it before scoring.  Non-float builds promote to float64.
     """
 
-    #: Whether the search methods take an ``ef`` beam width.  A class
+    #: Whether :meth:`search_rows` takes an ``ef`` beam width.  A class
     #: fact, so a caller decides from the index's type once instead of
     #: probing the call.
     takes_ef: bool = False
@@ -85,37 +86,16 @@ class VectorIndex(abc.ABC):
         """(Re)build the index over ``vectors`` of shape ``(n, dim)``."""
 
     @abc.abstractmethod
-    def search(self, query: np.ndarray, k: int) -> list[SearchHit]:
-        """Return up to ``k`` nearest rows to ``query``, best first."""
-
-    def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchHit]]:
-        """Nearest rows for each row of a ``(Q, dim)`` query block.
-
-        The default probes the index once per query — correct for graph
-        indexes, whose traversal is inherently sequential per query.
-        Scan-based indexes override this with one batched matrix
-        product (see :class:`repro.ann.bruteforce.BruteForceIndex` and
-        the batched-ADC path in :class:`repro.ann.pq.PQIndex`).
-        """
-        # repro-lint: disable=RL003 -- dtype-preserving pass-through; per-query search validates
-        queries = np.atleast_2d(np.asarray(queries))
-        return [self.search(query, k) for query in queries]
-
     def search_rows(self, queries: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Nearest rows of each query in a ``(Q, dim)`` block as
-        ``(rows, scores)`` arrays, best first.
+        ``(rows, scores)`` arrays, best first.  Indexes with
+        :attr:`takes_ef` also take an ``ef`` keyword."""
 
-        The array form a collection consumes.  The default converts
-        :meth:`search_batch`'s hits; graph indexes produce arrays
-        natively and wrap them into hits instead.
-        """
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        for hits in self.search_batch(queries, k):
-            rows = np.fromiter((hit.index for hit in hits), dtype=np.intp, count=len(hits))
-            # repro-lint: disable=RL003 -- hit scores are Python floats; float64 holds them exactly
-            scores = np.fromiter((hit.score for hit in hits), dtype=np.float64, count=len(hits))
-            out.append((rows, scores))
-        return out
+    def search(self, query: np.ndarray, k: int, **params: Any) -> list[SearchHit]:
+        """Up to ``k`` nearest rows to one ``query``, best first, as
+        :class:`SearchHit` objects; ``params`` reach :meth:`search_rows`."""
+        rows, scores = self.search_rows(self._validate_query(query), k, **params)[0]
+        return hits_from_rows(rows, scores)
 
     # -- shared validation helpers -------------------------------------
 

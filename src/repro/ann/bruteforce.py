@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ann.base import SearchHit, VectorIndex
+from repro.ann.base import VectorIndex
 from repro.linalg.distances import Metric, normalize_rows, pairwise_similarity
-from repro.linalg.topk import top_k_indices, top_k_indices_rowwise
+from repro.linalg.topk import top_k_indices_rowwise
 
 __all__ = ["BruteForceIndex"]
 
@@ -14,8 +14,8 @@ __all__ = ["BruteForceIndex"]
 class BruteForceIndex(VectorIndex):
     """Exact nearest-neighbour search via a vectorized full scan.
 
-    For cosine similarity the stored matrix is pre-normalized so each
-    query costs one matrix-vector product.
+    For cosine similarity the stored matrix is pre-normalized so a
+    query block costs one matrix product.
     """
 
     def __init__(self, metric: Metric = Metric.COSINE) -> None:
@@ -38,17 +38,8 @@ class BruteForceIndex(VectorIndex):
         self._vectors = vectors
         return self
 
-    def search(self, query: np.ndarray, k: int) -> list[SearchHit]:
-        query = self._validate_query(query)
-        if self.metric is Metric.COSINE:
-            scores = normalize_rows(query) @ self._vectors.T
-        else:
-            scores = pairwise_similarity(query, self._vectors, self.metric)[0]
-        best = top_k_indices(scores, k)
-        return [SearchHit(int(i), float(scores[i])) for i in best]
-
-    def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchHit]]:
-        """Exact k-NN for a batch of queries (one matrix product)."""
+    def search_rows(self, queries: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Exact k-NN for a block of queries (one matrix product)."""
         queries = self._validate_query_block(queries)
         if self.metric is Metric.COSINE:
             # Stored rows are unit vectors; skip re-normalizing them.
@@ -56,7 +47,4 @@ class BruteForceIndex(VectorIndex):
         else:
             scores = pairwise_similarity(queries, self._vectors, self.metric)
         best = top_k_indices_rowwise(scores, k)
-        return [
-            [SearchHit(int(i), float(scores[q, i])) for i in best[q]]
-            for q in range(scores.shape[0])
-        ]
+        return [(best[q], scores[q, best[q]]) for q in range(scores.shape[0])]

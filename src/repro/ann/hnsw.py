@@ -28,7 +28,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.ann.base import SearchHit, VectorIndex, hits_from_rows
+from repro.ann.base import VectorIndex
 from repro.errors import ConfigurationError
 from repro.linalg.distances import Metric, normalize_rows
 
@@ -318,18 +318,8 @@ class HNSWIndex(VectorIndex):
                 entry = self._greedy_closest(dist_of, entry, layer)
             found = self._search_layer(dist_of, [entry], 0, ef)[:k]
             # (distance, node) pairs as a float64 (k, 2) block: the
-            # distances stay the Python floats SearchHit scores came from.
+            # distances stay the Python floats the beam computed.
             # repro-lint: disable=RL003 -- holds Python-float distances and node ids exactly
             pairs = np.array(found, dtype=np.float64).reshape(-1, 2)
             out.append((pairs[:, 1].astype(np.intp), self._score(pairs[:, 0])))
         return out
-
-    def search(self, query: np.ndarray, k: int, ef: int | None = None) -> list[SearchHit]:
-        """Approximate k nearest neighbours of ``query``, best first."""
-        return hits_from_rows(*self.search_rows(self._validate_query(query), k, ef=ef)[0])
-
-    def search_batch(
-        self, queries: np.ndarray, k: int, ef: int | None = None
-    ) -> list[list[SearchHit]]:
-        """:meth:`search` for each row of a ``(Q, dim)`` block."""
-        return [hits_from_rows(*found) for found in self.search_rows(queries, k, ef=ef)]

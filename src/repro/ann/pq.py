@@ -5,7 +5,8 @@ the vector database (Sec 4.2): each vector is split into ``m``
 subvectors, each subvector is quantized to its nearest centroid in a
 per-subspace codebook, and queries are scored against the compressed
 codes with asymmetric distance computation (ADC) — one lookup table per
-subspace, one table lookup per code byte.
+subspace, one table lookup per code byte.  The index that scores with
+it is :class:`repro.vectordb.index.HNSWPQIndex`.
 """
 
 # repro-lint: disable-file=RL003 -- PQ trains, reconstructs and scores in float64 by design; codes are uint8
@@ -13,13 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ann.base import SearchHit, VectorIndex
 from repro.errors import ConfigurationError, DimensionMismatchError, NotFittedError
-from repro.linalg.distances import Metric, normalize_rows
 from repro.linalg.kmeans import KMeans
-from repro.linalg.topk import top_k_indices_rowwise
 
-__all__ = ["ProductQuantizer", "PQIndex"]
+__all__ = ["ProductQuantizer"]
 
 
 class ProductQuantizer:
@@ -177,85 +175,3 @@ class ProductQuantizer:
         codes = np.atleast_2d(np.asarray(codes))
         m = codes.shape[1]
         return table[np.arange(m)[np.newaxis, :], codes].sum(axis=1)
-
-    @staticmethod
-    def adc_scores_batch(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """ADC scores of every code row under every query: ``(Q, n)``.
-
-        ``tables`` is the ``(Q, m, k)`` output of the batched table
-        builders.  The gather runs over all queries at once; summation
-        order over subspaces matches :meth:`adc_scores`, so row ``q``
-        is bitwise identical to scoring with ``tables[q]`` alone.
-        """
-        codes = np.atleast_2d(np.asarray(codes))
-        m = codes.shape[1]
-        return tables[:, np.arange(m)[np.newaxis, :], codes].sum(axis=2)
-
-    def compression_ratio(self, dim: int) -> float:
-        """Bytes saved: float64 vector bytes over code bytes."""
-        return (dim * 8) / self.n_subvectors
-
-
-class PQIndex(VectorIndex):
-    """Flat scan over PQ codes with ADC scoring.
-
-    This is the "PQ without a graph" configuration: memory shrinks by
-    ``compression_ratio`` and scoring costs one table build plus an
-    ``(n, m)`` gather per query.  The ANNS method combines this encoder
-    with HNSW (see :class:`repro.vectordb.index.HNSWPQIndex`).
-    """
-
-    def __init__(
-        self,
-        metric: Metric = Metric.COSINE,
-        n_subvectors: int = 8,
-        n_centroids: int = 256,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(metric)
-        self.quantizer = ProductQuantizer(n_subvectors, n_centroids, seed=seed)
-        self._codes = np.empty((0, n_subvectors), dtype=np.uint8)
-
-    @property
-    def size(self) -> int:
-        return self._codes.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        codebooks = self.quantizer.codebooks_
-        return int(self._codes.nbytes) + (
-            int(codebooks.nbytes) if codebooks is not None else 0
-        )
-
-    def build(self, vectors: np.ndarray) -> "PQIndex":
-        vectors = self._validate_build(vectors)
-        if self.metric is Metric.COSINE:
-            vectors = normalize_rows(vectors)
-        self.quantizer.fit(vectors)
-        self._codes = self.quantizer.encode(vectors)
-        return self
-
-    def search(self, query: np.ndarray, k: int) -> list[SearchHit]:
-        # Delegate through the batched kernel with Q=1: sequential and
-        # batched serving share every arithmetic step bit for bit.
-        return self.search_batch(self._validate_query(query)[np.newaxis, :], k)[0]
-
-    def search_batch(self, queries: np.ndarray, k: int) -> list[list[SearchHit]]:
-        """Batched ADC: one einsum builds all lookup tables, one gather
-        scores every code row under every query."""
-        queries = self._validate_query_block(queries)
-        if self.metric is Metric.COSINE:
-            queries = normalize_rows(queries)
-        if self.metric is Metric.EUCLIDEAN:
-            tables = self.quantizer.adc_l2_tables(queries)
-            scores = -np.sqrt(
-                np.clip(self.quantizer.adc_scores_batch(tables, self._codes), 0, None)
-            )
-        else:
-            tables = self.quantizer.adc_inner_product_tables(queries)
-            scores = self.quantizer.adc_scores_batch(tables, self._codes)
-        best = top_k_indices_rowwise(scores, k)
-        return [
-            [SearchHit(int(i), float(scores[q, i])) for i in best[q]]
-            for q in range(scores.shape[0])
-        ]

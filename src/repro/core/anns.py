@@ -1,8 +1,8 @@
 """Approximate Nearest Neighbours Search (ANNS) — Algorithm 2.
 
 Step 1 (offline): every attribute-value vector is stored in a vector
-database collection together with its metadata (relation id, attribute
-name), compressed with Product Quantization and indexed with HNSW.
+collection together with its metadata (relation id, attribute name),
+compressed with Product Quantization and indexed with HNSW.
 
 Step 2 (query): the query vector retrieves its approximate nearest
 value vectors; each relation's score is the average similarity of *its*
@@ -19,19 +19,20 @@ from typing import Any
 
 import numpy as np
 
+from repro.ann.base import SearchHit, hits_from_rows
 from repro.core.base import SearchMethod
 from repro.core.results import RelationMatch
 from repro.core.semimg import RelationEmbedding
+from repro.errors import NotFittedError
 from repro.linalg.distances import Metric
-from repro.vectordb.collection import Point, ScoredPoint
-from repro.vectordb.database import VectorDatabase
+from repro.vectordb.collection import Collection, Point
 from repro.vectordb.index import IndexKind
 
 __all__ = ["ANNSearch"]
 
 
 class ANNSearch(SearchMethod):
-    """PQ + HNSW search over the value-vector database.
+    """PQ + HNSW search over the value-vector collection.
 
     Parameters
     ----------
@@ -43,21 +44,24 @@ class ANNSearch(SearchMethod):
         near-tie candidate sets (e.g. every table of a region sharing
         entity values) crowd out the deeper evidence.
     index_kind:
-        Vector-database index; the paper's configuration is
-        ``"hnsw+pq"``.  ``"hnsw"`` (uncompressed) and ``"exact"`` are
-        ablation options.
+        The values collection's index: ``"hnsw+pq"`` (the paper's
+        configuration), ``"hnsw"`` (uncompressed) or ``"exact"`` (the
+        brute-force reference).  Every kind's candidates are re-scored
+        exactly, so the index decides which values are retrieved, not
+        their scores.
     n_subvectors / n_centroids:
         Product-quantization shape (ignored without PQ).
     m / ef_construction / ef_search:
         HNSW graph parameters (ignored for ``"exact"``).  On the
         paper's ``"hnsw+pq"`` index neither ``ef_search`` nor the ``ef``
         a query passes sets the beam.  A query passes
-        ``ef=int(1.5 * budget)`` and the collection's rescore fetches
-        ``int(1.5 * budget)`` points.  :class:`HNSWPQIndex` asks the
-        graph for twice that many, and the graph's beam is the larger
-        of ``ef`` and the request.  So the beam is
-        ``2 * int(1.5 * budget)`` at every budget from 6 up (768 at the
-        default 256).  With plain ``"hnsw"`` the ``ef`` does set it.
+        ``ef=int(1.5 * budget)`` and the collection fetches
+        ``int(1.5 * budget)`` candidates to re-score.
+        :class:`HNSWPQIndex` asks the graph for twice that many, and
+        the graph's beam is the larger of ``ef`` and the request.  So
+        the beam is ``2 * int(1.5 * budget)`` at every budget from 6 up
+        (768 at the default 256).  With plain ``"hnsw"`` the ``ef`` does
+        set it.
     evidence_size:
         The relation score is the average similarity of its
         ``evidence_size`` best retrieved vectors, counting missing
@@ -103,43 +107,36 @@ class ANNSearch(SearchMethod):
             raise ValueError("evidence_size must be >= 1")
         self.evidence_size = evidence_size
         self.seed = seed
-        self._db: VectorDatabase | None = None
+        self._values: Collection | None = None
         self._value_ids: dict[str, int] = {}
         self._relation_values: dict[str, list[str]] = {}
         self._next_id = 0
 
-    @property
-    def database(self) -> VectorDatabase:
-        """The populated vector database (after index())."""
-        if self._db is None:
-            raise RuntimeError("ANNSearch not indexed yet")
-        return self._db
+    def _collection(self) -> Collection:
+        """The values collection; raises before :meth:`index`."""
+        if self._values is None:
+            raise NotFittedError("ANNSearch used before index()")
+        return self._values
 
     def index_bytes(self) -> int:
         """Resident bytes of the values collection (vectors + codes)."""
-        if self._db is None:
-            return 0
-        return self._db.get_collection("values").nbytes
+        return self._values.nbytes if self._values is not None else 0
 
     def _index_params(self) -> dict[str, Any]:
         if self.index_kind is IndexKind.EXACT:
             return {}
-        params: dict[str, Any] = {}
-        if self.index_kind in (IndexKind.HNSW, IndexKind.HNSW_PQ):
-            params.update(
-                m=self.m,
-                ef_construction=self.ef_construction,
-                ef_search=self.ef_search,
-                seed=self.seed,
-            )
-        if self.index_kind in (IndexKind.PQ, IndexKind.HNSW_PQ):
+        params: dict[str, Any] = dict(
+            m=self.m,
+            ef_construction=self.ef_construction,
+            ef_search=self.ef_search,
+            seed=self.seed,
+        )
+        if self.index_kind is IndexKind.HNSW_PQ:
             params.update(n_subvectors=self.n_subvectors, n_centroids=self.n_centroids)
-        if self.index_kind is IndexKind.PQ:
-            params.update(seed=self.seed)
         return params
 
     def _build(self) -> None:
-        """Step 1: populate the vector database and build the index.
+        """Step 1: populate the values collection and build the index.
 
         One point is stored per globally DISTINCT value; its payload
         lists every (relation, attribute, count) occurrence.  Common
@@ -151,9 +148,12 @@ class ANNSearch(SearchMethod):
         duplicates from crowding the candidate budget — one retrieved
         value is evidence for every relation that contains it.
         """
-        db = VectorDatabase(metrics=self.metrics)
-        collection = db.create_collection(
-            "values", dim=self.embeddings.dim, metric=Metric.COSINE, dtype=self.dtype
+        collection = Collection(
+            "values",
+            dim=self.embeddings.dim,
+            metric=Metric.COSINE,
+            metrics=self.metrics,
+            dtype=self.dtype,
         )
         owners: dict[str, list[list[Any]]] = {}
         vectors: dict[str, np.ndarray] = {}
@@ -172,7 +172,7 @@ class ANNSearch(SearchMethod):
         ]
         collection.upsert(points)
         collection.create_index(self.index_kind, **self._index_params())
-        self._db = db
+        self._values = collection
         # Lifecycle bookkeeping: value text -> point id, relation ->
         # value texts it contributed.  Deltas translate into point-level
         # upsert/delete against the collection via these maps.
@@ -197,7 +197,7 @@ class ANNSearch(SearchMethod):
         values become new points.  The collection's own index-staleness
         handling rebuilds the ANN graph lazily on the next search.
         """
-        collection = self.database.get_collection("values")
+        collection = self._collection()
         drop_ids = list(removed) + [r.relation_id for r in updated]
         dropped = set(drop_ids)
         affected: dict[str, None] = {}  # ordered value set
@@ -265,33 +265,30 @@ class ANNSearch(SearchMethod):
         """How many nearest value vectors each query retrieves."""
         return self.candidate_budget(self.embeddings.n_relations)
 
-    def retrieve(self, query_vector: np.ndarray, budget: int) -> list[ScoredPoint]:
+    def retrieve(self, query_vector: np.ndarray, budget: int) -> list[SearchHit]:
         """Step 2's retrieval half: the ``budget`` nearest value points,
         before any grouping by relation.
 
         The same collection search as :meth:`search` runs, returned as
-        :class:`ScoredPoint` objects; ``search`` itself keeps the
-        ``(rows, scores)`` arrays.
+        :class:`SearchHit` objects over the collection's rows;
+        ``search`` itself keeps the ``(rows, scores)`` arrays.
         """
-        collection = self.database.get_collection("values")
-        with self.metrics.timer(f"{self.name}.scan"):
-            return collection.search(query_vector, k=budget, ef=int(1.5 * budget), rescore=True)
+        query_block = np.asarray(query_vector).reshape(1, -1)
+        return hits_from_rows(*self._retrieve_rows(query_block, budget)[0])
 
     def _retrieve_rows(
         self, query_block: np.ndarray, budget: int
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each query's ``budget`` nearest value points as ``(rows,
         scores)`` arrays over the values collection."""
-        collection = self.database.get_collection("values")
+        collection = self._collection()
         # Match the collection's storage dtype before the scan: the
         # encoder emits float64, and shipping that into a float32
         # collection is exactly the silent promotion the sanitizer
         # rejects (found by the REPRO_SANITIZE CI shard).
         query_block = np.ascontiguousarray(query_block, dtype=collection.dtype)
         with self.metrics.timer(f"{self.name}.scan"):
-            return collection.search_rows(
-                query_block, k=budget, ef=int(1.5 * budget), rescore=True
-            )
+            return collection.search_rows(query_block, k=budget, ef=int(1.5 * budget))
 
     def _score_all(self, query: str) -> list[RelationMatch]:
         """Step 2: approximate KNN, then group scores by relation."""
@@ -303,7 +300,7 @@ class ANNSearch(SearchMethod):
     def _score_batch(self, queries: Sequence[str]) -> list[list[RelationMatch]]:
         """Batched Step 2: one candidate-retrieval pass per query block.
 
-        The vector database serves the whole query block in one call —
+        The values collection serves the whole query block in one call —
         exact collections score it with a single GEMM, graph indexes
         amortize validation and freshness checks across the block —
         and each query's hits are grouped exactly as in sequential
@@ -317,7 +314,7 @@ class ANNSearch(SearchMethod):
     def _group_rows(self, rows: np.ndarray, scores: np.ndarray) -> list[RelationMatch]:
         """Fixed-size evidence averaging of one query's retrieved values,
         read from the stored payloads by row."""
-        payloads = self.database.get_collection("values").payloads_at(rows)
+        payloads = self._collection().payloads_at(rows)
         per_relation: dict[str, list[float]] = defaultdict(list)
         per_relation_attrs: dict[str, set[str]] = defaultdict(set)
         for payload, score in zip(payloads, scores.tolist()):

@@ -8,8 +8,8 @@ Offline pipeline (Sec 4.3):
 3. cluster the reduced vectors with HDBSCAN;
 4. compute each cluster's medoid ("HDBSCAN does not automatically
    provide cluster centers ... we manually compute the clusters
-   medoids") and store every cluster in its own vector-database
-   collection, with the medoid as its retrieval key.
+   medoids") and store the medoids in one collection, the clusters'
+   retrieval keys; each cluster's members are held as CSR row maps.
 
 Query pipeline: embed the query with the same sentence transformer and
 rank cluster medoids by cosine similarity in the encoder's space (each
@@ -41,8 +41,7 @@ from repro.dimred.pca import PCA
 from repro.dimred.umap_ import UMAP
 from repro.errors import ConfigurationError
 from repro.linalg.distances import Metric, euclidean_distance
-from repro.vectordb.collection import Point
-from repro.vectordb.database import VectorDatabase
+from repro.vectordb.collection import Collection, Point
 
 __all__ = ["ClusteredTargetedSearch"]
 
@@ -131,7 +130,7 @@ class ClusteredTargetedSearch(SearchMethod):
         self.drift_threshold = drift_threshold
         self.seed = seed
 
-        self._db: VectorDatabase | None = None
+        self._medoids: Collection | None = None
         self._pca: PCA | None = None
         self._umap: UMAP | None = None
         self._labels: np.ndarray | None = None
@@ -206,7 +205,7 @@ class ClusteredTargetedSearch(SearchMethod):
         }
         self._labels = labels_unique[row_to_unique]
         self._index_query_arrays(rep_rows, row_to_unique, labels_unique)
-        self._populate_database(reduced_unique[row_to_unique], self._labels)
+        self._build_medoids()
 
     def _unique_rows(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """First-occurrence row per distinct value text, row mapping,
@@ -346,8 +345,7 @@ class ClusteredTargetedSearch(SearchMethod):
         self._medoid_rows = {
             cid: int(rep_rows[uidx[value]]) for cid, value in self._medoid_value.items()
         }
-        reduced_unique = np.stack([self._reduced_of_value[v] for v in unique_values])
-        self._populate_database(reduced_unique[row_to_unique], self._labels)
+        self._build_medoids()
 
         drift = self.drift
         self.metrics.gauge(f"{self.name}.drift").set(drift)
@@ -480,57 +478,28 @@ class ClusteredTargetedSearch(SearchMethod):
             labels[noise] = np.asarray(cluster_ids, dtype=labels.dtype)[nearest]
         return labels
 
-    def _populate_database(self, reduced: np.ndarray, labels: np.ndarray) -> None:
-        """One collection per cluster + a medoid routing collection."""
-        assert self._owner is not None
+    def _build_medoids(self) -> None:
+        """The medoid routing collection: one point per cluster, in
+        cluster-id order.
+
+        Medoids are stored in the ORIGINAL embedding space: the query
+        is "transformed into a vector using the same sentence
+        transformer, allowing for a direct comparison between the
+        query and the cluster medoids" (Sec 4.3) — the comparison is
+        in the encoder's space, and each medoid is a real data point
+        whose original vector is known.
+        """
         assert self._stacked is not None
-        db = VectorDatabase(metrics=self.metrics)
-        dim = reduced.shape[1]
-        # Medoids are stored in the ORIGINAL embedding space: the query
-        # is "transformed into a vector using the same sentence
-        # transformer, allowing for a direct comparison between the
-        # query and the cluster medoids" (Sec 4.3) — the comparison is
-        # in the encoder's space, and each medoid is a real data point
-        # whose original vector is known.
-        medoid_collection = db.create_collection(
-            "medoids", dim=self._stacked.shape[1], metric=Metric.COSINE
-        )
-        relation_ids = self.embeddings.relation_ids()
-        # The medoid collection's rows, in cluster-id order.
         self._medoid_cids = np.asarray(sorted(self._medoid_rows), dtype=np.int64)
-        for cid, medoid_row in sorted(self._medoid_rows.items()):
-            medoid_collection.upsert(
-                [
-                    Point(
-                        id=int(cid),
-                        vector=self._stacked[medoid_row],
-                        payload={"cluster": int(cid), "size": int((labels == cid).sum())},
-                    )
-                ]
-            )
-            members = np.flatnonzero(labels == cid)
-            cluster_collection = db.create_collection(
-                f"cluster_{cid}", dim=dim, metric=Metric.EUCLIDEAN
-            )
-            cluster_collection.upsert(
-                [
-                    Point(
-                        id=int(row),
-                        vector=reduced[row],
-                        payload={"relation": relation_ids[int(self._owner[row])]},
-                    )
-                    for row in members
-                ]
-            )
-        self._db = db
+        medoids = Collection(
+            "medoids", dim=self._stacked.shape[1], metric=Metric.COSINE, metrics=self.metrics
+        )
+        medoids.upsert(
+            [Point(cid, self._stacked[row]) for cid, row in sorted(self._medoid_rows.items())]
+        )
+        self._medoids = medoids
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def database(self) -> VectorDatabase:
-        if self._db is None:
-            raise RuntimeError("ClusteredTargetedSearch not indexed yet")
-        return self._db
 
     @property
     def n_clusters(self) -> int:
@@ -570,7 +539,8 @@ class ClusteredTargetedSearch(SearchMethod):
 
     def _route(self, block: np.ndarray) -> list[np.ndarray]:
         """The ``top_clusters`` nearest medoids' cluster ids per query."""
-        medoids = self.database.get_collection("medoids")
+        medoids = self._medoids
+        assert medoids is not None
         block = np.ascontiguousarray(block, dtype=medoids.dtype)
         with self.metrics.timer(f"{self.name}.route"):
             found = medoids.search_rows(block, k=self.top_clusters)

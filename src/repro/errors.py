@@ -25,15 +25,7 @@ class DimensionMismatchError(ReproError):
 
 
 class CollectionError(ReproError):
-    """A vector-database collection operation failed."""
-
-
-class CollectionNotFoundError(CollectionError):
-    """The requested collection does not exist."""
-
-
-class CollectionExistsError(CollectionError):
-    """A collection with the requested name already exists."""
+    """A vector collection operation failed."""
 
 
 class PointNotFoundError(CollectionError):

@@ -115,7 +115,6 @@ VOCABULARY: tuple[MetricSpec, ...] = (
     MetricSpec("storage.segments", "gauge", "Payload files (arrays + documents) in the most recently committed snapshot."),
     # -- vectordb.* -------------------------------------------------------
     MetricSpec("vectordb.searches", "counter", "Collection searches (one per query, batched or not)."),
-    MetricSpec("vectordb.batches", "counter", "Batched collection searches."),
     MetricSpec("vectordb.points_scanned", "counter", "Points scored by exact scans."),
     MetricSpec("vectordb.index_probes", "counter", "ANN index probes."),
     MetricSpec("vectordb.scan", "histogram", "Collection scan latency (ms)."),

@@ -1,8 +1,9 @@
-"""Index configurations pluggable into a collection.
+"""The indexes a collection can attach.
 
-``IndexKind`` names the supported configurations; ``HNSWPQIndex`` is
-the paper's combination (Sec 4.2): vectors are compressed with Product
-Quantization and navigated with an HNSW graph.  The graph is built over
+``IndexKind`` names them: ``exact`` (the brute-force reference),
+``hnsw`` and ``hnsw+pq``.  ``HNSWPQIndex`` is the paper's combination
+(Sec 4.2): vectors are compressed with Product Quantization and
+navigated with an HNSW graph.  The graph is built over
 the PQ *reconstructions* (so graph topology reflects what the
 compressed representation can distinguish) and query scores come from
 ADC lookup tables over the stored codes.
@@ -14,12 +15,10 @@ import enum
 
 import numpy as np
 
-from repro.ann.base import SearchHit, VectorIndex, hits_from_rows
+from repro.ann.base import VectorIndex
 from repro.ann.bruteforce import BruteForceIndex
 from repro.ann.hnsw import HNSWIndex
-from repro.ann.ivf import IVFFlatIndex
-from repro.ann.pq import PQIndex, ProductQuantizer
-from repro.errors import ConfigurationError
+from repro.ann.pq import ProductQuantizer
 from repro.linalg.distances import Metric, normalize_rows
 
 __all__ = ["IndexKind", "HNSWPQIndex", "make_index"]
@@ -30,9 +29,7 @@ class IndexKind(str, enum.Enum):
 
     EXACT = "exact"
     HNSW = "hnsw"
-    PQ = "pq"
     HNSW_PQ = "hnsw+pq"
-    IVF = "ivf"
 
 
 class HNSWPQIndex(VectorIndex):
@@ -81,14 +78,6 @@ class HNSWPQIndex(VectorIndex):
         self._graph.build(reconstructed)
         return self
 
-    def search(self, query: np.ndarray, k: int, ef: int | None = None) -> list[SearchHit]:
-        return hits_from_rows(*self.search_rows(self._validate_query(query), k, ef=ef)[0])
-
-    def search_batch(
-        self, queries: np.ndarray, k: int, ef: int | None = None
-    ) -> list[list[SearchHit]]:
-        return [hits_from_rows(*found) for found in self.search_rows(queries, k, ef=ef)]
-
     def search_rows(
         self, queries: np.ndarray, k: int, ef: int | None = None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -130,10 +119,4 @@ def make_index(kind: IndexKind | str, metric: Metric, **params) -> VectorIndex:
         return BruteForceIndex(metric=metric)
     if kind is IndexKind.HNSW:
         return HNSWIndex(metric=metric, **params)
-    if kind is IndexKind.PQ:
-        return PQIndex(metric=metric, **params)
-    if kind is IndexKind.HNSW_PQ:
-        return HNSWPQIndex(metric=metric, **params)
-    if kind is IndexKind.IVF:
-        return IVFFlatIndex(metric=metric, **params)
-    raise ConfigurationError(f"unknown index kind: {kind}")
+    return HNSWPQIndex(metric=metric, **params)

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann import BruteForceIndex, HNSWIndex, PQIndex
+from repro.ann import BruteForceIndex, HNSWIndex
 from repro.core import DiscoveryEngine
 from repro.core.cts import _evidence_scores
 from repro.datamodel import Federation, Relation
@@ -179,17 +179,16 @@ class TestHNSWAgainstOldLoops:
         calls = []
         monkeypatch.setattr(HNSWIndex, "_dist", lambda self, query, ids: calls.append(ids))
         index.search(points[3], 5, ef=50)
-        index.search_batch(points[:4], 5)
+        index.search_rows(points[:4], 5)
         assert calls == []
 
     def test_batch_equals_single(self):
         points = np.random.default_rng(3).standard_normal((300, 12))
         index = HNSWIndex(m=6, ef_construction=30).build(points)
         queries = np.random.default_rng(4).standard_normal((5, 12))
-        batched = index.search_batch(queries, 7, ef=20)
         rows = index.search_rows(queries, 7, ef=20)
-        for q, hits, (r, s) in zip(queries, batched, rows):
-            assert hits == index.search(q, 7, ef=20)
+        for q, (r, s) in zip(queries, rows):
+            hits = index.search(q, 7, ef=20)
             assert [h.index for h in hits] == r.tolist()
             assert [h.score for h in hits] == s.tolist()
 
@@ -264,7 +263,7 @@ class ExplodingIndex(BruteForceIndex):
 
     calls = 0
 
-    def search_batch(self, queries, k):
+    def search_rows(self, queries, k):
         type(self).calls += 1
         raise TypeError("failure inside the index")
 
@@ -278,40 +277,41 @@ class TestIndexedSearch:
         collection.create_index("exact")
         ExplodingIndex.calls = 0
         with pytest.raises(TypeError, match="failure inside the index"):
-            collection.search(np.ones(16), k=3, ef=50)
+            collection.search_rows(np.ones((1, 16)), k=3, ef=50)
         with pytest.raises(TypeError, match="failure inside the index"):
-            collection.search_batch(np.ones((2, 16)), k=3)
+            collection.search_rows(np.ones((2, 16)), k=3)
         assert ExplodingIndex.calls == 2  # one call each, no retry
 
-    @pytest.mark.parametrize("kind", ["pq", "ivf", "exact"])
+    @pytest.mark.parametrize("kind", ["exact"])
     def test_indexes_without_ef_are_asked_once(self, monkeypatch, kind):
         collection = _values_collection()
-        collection.create_index(kind, **({"n_centroids": 16} if kind == "pq" else {}))
+        collection.create_index(kind)
         index_type = type(collection._index)
         calls = []
-        original = index_type.search_batch
+        original = index_type.search_rows
 
         def counted(self, queries, k):
             calls.append(len(queries))
             return original(self, queries, k)
 
-        monkeypatch.setattr(index_type, "search_batch", counted)
-        collection.search_batch(np.ones((3, 16)), k=4, ef=40, rescore=True)
+        monkeypatch.setattr(index_type, "search_rows", counted)
+        collection.search_rows(np.ones((3, 16)), k=4, ef=40)
         assert calls == [3]
 
-    @pytest.mark.parametrize("kind", ["hnsw", "hnsw+pq", "pq", "exact"])
+    @pytest.mark.parametrize("kind", ["hnsw", "hnsw+pq", "exact"])
     def test_wrappers_match_search_rows(self, kind):
+        # A block's rows answer exactly as one-row blocks do, and the
+        # payloads read by row are the stored ones.
         collection = _values_collection()
         params = {"n_centroids": 16} if "pq" in kind else {}
         collection.create_index(kind, **params)
         queries = np.random.default_rng(1).standard_normal((3, 16))
-        rows = collection.search_rows(queries, k=5, ef=30, rescore=True)
-        batched = collection.search_batch(queries, k=5, ef=30, rescore=True)
-        for q, (r, s), points in zip(queries, rows, batched):
-            single = collection.search(q, k=5, ef=30, rescore=True)
-            assert [p.id for p in points] == [p.id for p in single] == r.tolist()
-            assert [p.score for p in points] == [p.score for p in single] == s.tolist()
-            assert [p.payload for p in points] == collection.payloads_at(r)
+        rows = collection.search_rows(queries, k=5, ef=30)
+        for q, (r, s) in zip(queries, rows):
+            single_rows, single_scores = collection.search_rows(q[np.newaxis, :], k=5, ef=30)[0]
+            assert single_rows.tolist() == r.tolist()
+            assert single_scores.tolist() == s.tolist()
+            assert collection.payloads_at(r) == [collection.get(i).payload for i in r.tolist()]
 
     def test_float64_block_trips_the_dtype_guard(self, monkeypatch):
         # Collections arm their guards from the environment, as the
@@ -320,14 +320,11 @@ class TestIndexedSearch:
         engine = DiscoveryEngine(encoder=SemanticHashEncoder(dim=32), dtype=np.float32)
         engine.index(Federation.from_relations(_relations()))
         try:
-            anns = engine.method("anns")
-            collection = anns.database.get_collection("values")
+            collection = engine.method("anns")._values
             assert collection.dtype == np.float32 and collection.sanitize
             block = np.ones((1, 32))
             with pytest.raises(SanitizerError, match="dtype"):
-                collection.search_rows(block, k=5, ef=20, rescore=True)
-            with pytest.raises(SanitizerError, match="dtype"):
-                collection.search_batch(block, k=5)
+                collection.search_rows(block, k=5, ef=20)
             # ANNS casts before it crosses the boundary.
             assert len(engine.search("football", method="anns", k=3)) > 0
             assert len(engine.search_batch(["football", "gdp"], method="anns", k=3)) == 2
@@ -389,5 +386,5 @@ class TestANNSBeamWidth:
             engine.close()
 
 
-def test_pq_index_ignores_ef_by_type():
-    assert not PQIndex.takes_ef and HNSWIndex.takes_ef
+def test_exact_index_ignores_ef_by_type():
+    assert not BruteForceIndex.takes_ef and HNSWIndex.takes_ef

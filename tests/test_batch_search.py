@@ -209,6 +209,30 @@ class TestMetricsPopulation:
         assert snap["counters"]["vectordb.searches"] >= len(QUERIES)
         assert snap["stages"]["vectordb.scan"]["count"] >= 1
 
+    def test_one_search_moves_the_scan_counters_exactly(self, fresh_engine):
+        """The perf ledger reads these counters per call: one ANNS query
+        is one collection search and one index probe and scores no point
+        by exact scan; one CTS query scans exactly its medoids."""
+
+        def scan_counters():
+            counters = fresh_engine.metrics.snapshot()["counters"]
+            return {
+                name: counters.get(f"vectordb.{name}", 0)
+                for name in ("searches", "index_probes", "points_scanned")
+            }
+
+        fresh_engine.method("anns")
+        cts = fresh_engine.method("cts")
+        before = scan_counters()
+        fresh_engine.search("measles outbreak counts", method="anns")
+        after_anns = scan_counters()
+        assert after_anns["index_probes"] - before["index_probes"] == 1
+        assert after_anns["searches"] - before["searches"] == 1
+        assert after_anns["points_scanned"] == before["points_scanned"]
+        fresh_engine.search("measles outbreak counts", method="cts")
+        after_cts = scan_counters()
+        assert after_cts["points_scanned"] - after_anns["points_scanned"] == cts.n_clusters
+
     def test_format_table_is_printable(self, fresh_engine):
         fresh_engine.search_batch(QUERIES, method="exs")
         table = fresh_engine.metrics.format_table()

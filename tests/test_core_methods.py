@@ -79,19 +79,21 @@ class TestANNSearch:
             result = anns.search("COVID", k=3, h=-1.0)
             assert set(result.relation_ids()) & COVID_TRIO
 
+    @staticmethod
+    def _stored_payloads(engine):
+        collection = engine.method("anns")._values
+        return collection.payloads_at(np.arange(len(collection)))
+
     def test_deduplicated_storage(self, indexed_engine):
-        anns = indexed_engine.method("anns")
-        collection = anns.database.get_collection("values")
-        values = [p.payload["value"] for p in collection.scroll()]
+        values = [p["value"] for p in self._stored_payloads(indexed_engine)]
         assert len(values) == len(set(values))
 
     def test_owners_cover_duplicates(self, indexed_engine):
-        anns = indexed_engine.method("anns")
-        collection = anns.database.get_collection("values")
         # "2021-01-01" appears in WHO, CDC and ECDC
-        shared = [p for p in collection.scroll() if p.payload["value"] == "2021-01-01"]
+        payloads = self._stored_payloads(indexed_engine)
+        shared = [p for p in payloads if p["value"] == "2021-01-01"]
         assert len(shared) == 1
-        owner_rels = {rel for rel, _, _ in shared[0].payload["owners"]}
+        owner_rels = {rel for rel, _, _ in shared[0]["owners"]}
         assert owner_rels == COVID_TRIO
 
     def test_invalid_candidates(self):
@@ -117,17 +119,9 @@ class TestCTS:
 
     def test_medoid_collection_in_original_space(self, indexed_engine):
         cts = indexed_engine.method("cts")
-        medoids = cts.database.get_collection("medoids")
+        medoids = cts._medoids
         assert medoids.dim == indexed_engine.embeddings.dim
         assert len(medoids) == cts.n_clusters
-
-    def test_cluster_collections_in_reduced_space(self, indexed_engine):
-        cts = indexed_engine.method("cts")
-        sizes = cts.cluster_sizes()
-        for cid in sizes:
-            col = cts.database.get_collection(f"cluster_{cid}")
-            assert len(col) == sizes[cid]
-            assert col.dim < indexed_engine.embeddings.dim
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
@@ -169,10 +163,8 @@ class TestCTSQueryProjection:
         cts = indexed_engine.method("cts")
         q = indexed_engine.embeddings.encode_query("covid vaccine")
         projected = cts.reduce_query(q)
-        medoids = cts.database.get_collection("medoids")
-        reduced_dim = cts.database.get_collection(
-            f"cluster_{sorted(cts.cluster_sizes())[0]}"
-        ).dim
+        reduced_dim = cts._landmark_reduced.shape[1]
+        assert reduced_dim < indexed_engine.embeddings.dim
         assert projected.shape == (reduced_dim,)
         assert np.all(np.isfinite(projected))
 

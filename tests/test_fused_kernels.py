@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ann.pq import PQIndex, ProductQuantizer
+from repro.ann.pq import ProductQuantizer
 from repro.core.engine import DiscoveryEngine
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.datamodel.relation import Federation, Relation
@@ -181,30 +181,10 @@ class TestBatchedADC:
             )
             np.testing.assert_array_equal(l2_tables[q], pq.adc_l2_table(queries[q]))
 
-    def test_scores_batch_matches_per_query_scores(self, rng, pq_vectors):
-        pq = ProductQuantizer(n_subvectors=4, n_centroids=16).fit(pq_vectors)
-        codes = pq.encode(pq_vectors)
-        queries = rng.normal(size=(5, 32))
-        tables = pq.adc_inner_product_tables(queries)
-        batch = pq.adc_scores_batch(tables, codes)
-        assert batch.shape == (5, codes.shape[0])
-        for q in range(5):
-            np.testing.assert_array_equal(batch[q], pq.adc_scores(tables[q], codes))
-
-    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.DOT, Metric.EUCLIDEAN])
-    def test_pq_index_batch_bitwise_matches_sequential(self, rng, pq_vectors, metric):
-        index = PQIndex(metric=metric, n_subvectors=4, n_centroids=16).build(pq_vectors)
-        queries = rng.normal(size=(6, 32))
-        batched = index.search_batch(queries, k=10)
-        for q in range(queries.shape[0]):
-            single = index.search(queries[q], k=10)
-            assert [h.index for h in single] == [h.index for h in batched[q]]
-            assert [h.score for h in single] == [h.score for h in batched[q]]
-
     @pytest.mark.parametrize("shards", [1, 2, 5])
     def test_anns_batch_matches_sequential_after_deltas(self, shards):
         """The batched-ADC serving path (HNSW+PQ through
-        Collection.search_batch) ranks what per-query serving ranks,
+        Collection.search_rows) ranks what per-query serving ranks,
         sharded or not, after a delta sequence."""
         engine = DiscoveryEngine(
             dim=48,
@@ -228,11 +208,11 @@ class TestBatchedADC:
             metric=metric, n_subvectors=4, n_centroids=16, seed=0
         ).build(pq_vectors)
         queries = rng.normal(size=(4, 32))
-        batched = index.search_batch(queries, k=8)
-        for q in range(queries.shape[0]):
+        batched = index.search_rows(queries, k=8)
+        for q, (rows, scores) in enumerate(batched):
             single = index.search(queries[q], k=8)
-            assert [h.index for h in single] == [h.index for h in batched[q]]
-            assert [h.score for h in single] == [h.score for h in batched[q]]
+            assert [h.index for h in single] == rows.tolist()
+            assert [h.score for h in single] == scores.tolist()
 
 
 # -- rowwise top-k ----------------------------------------------------------
@@ -296,23 +276,22 @@ class TestCollectionBatching:
         monkeypatch.setattr(col._index, "build", counting_build)
         col.upsert(make_points(rng, 10, offset=100))  # stales the index
         queries = rng.normal(size=(5, 16))
-        col.search_batch(queries, k=3)
+        col.search_rows(queries, k=3)
         assert builds == [40], "stale index must rebuild exactly once per batch"
-        col.search_batch(queries, k=3)
+        col.search_rows(queries, k=3)
         assert builds == [40], "fresh index must not rebuild again"
 
     def test_batch_matches_sequential_exact(self, rng):
         col = Collection("c", dim=16, dtype=np.float64)
         col.upsert(make_points(rng, 25))
         queries = rng.normal(size=(4, 16))
-        batched = col.search_batch(queries, k=5)
-        for q in range(4):
-            single = col.search(queries[q], k=5)
-            assert [p.id for p in single] == [p.id for p in batched[q]]
+        batched = col.search_rows(queries, k=5)
+        for q, (rows, scores) in enumerate(batched):
+            single_rows, single_scores = col.search_rows(queries[q : q + 1], k=5)[0]
+            assert single_rows.tolist() == rows.tolist()
             # Q=1 and Q=4 blocks may hit different BLAS kernels
             # (gemv vs gemm), drifting by an ulp even at float64.
-            for ps, pb in zip(single, batched[q]):
-                assert ps.score == pytest.approx(pb.score, rel=1e-12)
+            np.testing.assert_allclose(single_scores, scores, rtol=1e-12)
 
     def test_bytes_gauge_tracks_mutations(self, rng):
         col = Collection("values", dim=16, dtype=np.float32)

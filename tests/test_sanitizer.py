@@ -263,17 +263,17 @@ class TestCollectionGuards:
         bad = np.ones((2, 4), dtype=np.float32)
         bad[1, 3] = np.nan
         with pytest.raises(SanitizerError, match="NaN/Inf"):
-            col.search_batch(bad, k=1)
+            col.search_rows(bad, k=1)
 
     def test_dtype_promoted_query_block_is_caught(self, monkeypatch):
         col = self._collection(monkeypatch, np.float32)
         with pytest.raises(SanitizerError, match="dtype"):
-            col.search_batch(np.ones((1, 4), dtype=np.float64), k=1)
+            col.search_rows(np.ones((1, 4), dtype=np.float64), k=1)
 
     def test_clean_batch_passes(self, monkeypatch):
         col = self._collection(monkeypatch, np.float32)
-        hits = col.search_batch(np.ones((2, 4), dtype=np.float32), k=2)
-        assert len(hits) == 2 and len(hits[0]) == 2
+        found = col.search_rows(np.ones((2, 4), dtype=np.float32), k=2)
+        assert len(found) == 2 and len(found[0][0]) == 2
 
     def test_unarmed_collection_casts_silently(self, monkeypatch):
         from repro.vectordb.collection import Collection, Point
@@ -281,5 +281,5 @@ class TestCollectionGuards:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         col = Collection("plain", dim=4, dtype=np.float32)
         col.upsert([Point(0, np.ones(4, dtype=np.float32))])
-        hits = col.search_batch(np.ones((1, 4), dtype=np.float64), k=1)
-        assert len(hits[0]) == 1
+        found = col.search_rows(np.ones((1, 4), dtype=np.float64), k=1)
+        assert len(found[0][0]) == 1

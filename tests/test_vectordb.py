@@ -1,69 +1,10 @@
-"""Tests for the vector database: filters, collections and the database."""
+"""Tests for the vector collection: storage, upsert/delete and search_rows."""
 
 import numpy as np
 import pytest
 
-from repro.errors import (
-    CollectionExistsError,
-    CollectionNotFoundError,
-    DimensionMismatchError,
-    PointNotFoundError,
-)
-from repro.linalg.distances import Metric
-from repro.vectordb import (
-    Collection,
-    FieldCondition,
-    Filter,
-    MatchAny,
-    MatchValue,
-    Point,
-    Range,
-    VectorDatabase,
-)
-
-
-class TestFilters:
-    def test_match_value(self):
-        cond = FieldCondition("kind", match=MatchValue("fruit"))
-        assert cond.test({"kind": "fruit"})
-        assert not cond.test({"kind": "veg"})
-        assert not cond.test({})
-
-    def test_match_any(self):
-        cond = FieldCondition("kind", match=MatchAny(["a", "b"]))
-        assert cond.test({"kind": "b"})
-        assert not cond.test({"kind": "c"})
-
-    def test_range(self):
-        cond = FieldCondition("score", range=Range(gte=1, lt=5))
-        assert cond.test({"score": 1})
-        assert cond.test({"score": 4.9})
-        assert not cond.test({"score": 5})
-        assert not cond.test({"score": "high"})
-
-    def test_condition_requires_exactly_one_clause(self):
-        with pytest.raises(ValueError):
-            FieldCondition("x")
-        with pytest.raises(ValueError):
-            FieldCondition("x", match=MatchValue(1), range=Range(gte=0))
-
-    def test_filter_must_should_must_not(self):
-        f = Filter(
-            must=[FieldCondition("a", match=MatchValue(1))],
-            should=[
-                FieldCondition("b", match=MatchValue(2)),
-                FieldCondition("b", match=MatchValue(3)),
-            ],
-            must_not=[FieldCondition("c", match=MatchValue(9))],
-        )
-        assert f.test({"a": 1, "b": 2})
-        assert f.test({"a": 1, "b": 3})
-        assert not f.test({"a": 1, "b": 4})       # should unmet
-        assert not f.test({"a": 0, "b": 2})       # must unmet
-        assert not f.test({"a": 1, "b": 2, "c": 9})  # must_not hit
-
-    def test_empty_filter_accepts_everything(self):
-        assert Filter().test({"whatever": 1})
+from repro.errors import DimensionMismatchError, PointNotFoundError
+from repro.vectordb import Collection, Point
 
 
 @pytest.fixture()
@@ -75,6 +16,12 @@ def collection(rng):
     ]
     col.upsert(points)
     return col
+
+
+def ids_of(collection, query, k):
+    """The ``rank`` payloads (the point ids) of one query's top-k rows."""
+    rows, _ = collection.search_rows(np.asarray(query)[np.newaxis, :], k)[0]
+    return [payload["rank"] for payload in collection.payloads_at(rows)]
 
 
 class TestCollection:
@@ -112,97 +59,80 @@ class TestCollection:
 
     def test_search_exact_top1(self, collection):
         target = collection.get(10).vector
-        hits = collection.search(target, 1)
-        assert hits[0].id == 10
-
-    def test_search_with_filter(self, collection, rng):
-        filt = Filter(must=[FieldCondition("group", match=MatchValue("even"))])
-        hits = collection.search(rng.standard_normal(8), 10, filter=filt)
-        assert len(hits) == 10
-        assert all(h.payload["group"] == "even" for h in hits)
-
-    def test_search_range_filter(self, collection, rng):
-        filt = Filter(must=[FieldCondition("rank", range=Range(lt=5))])
-        hits = collection.search(rng.standard_normal(8), 20, filter=filt)
-        assert {h.id for h in hits} <= {0, 1, 2, 3, 4}
-
-    def test_search_with_vectors(self, collection):
-        target = collection.get(4).vector
-        hit = collection.search(target, 1, with_vectors=True)[0]
-        np.testing.assert_allclose(hit.vector, target)
+        assert ids_of(collection, target, 1) == [10]
 
     def test_query_dim_check(self, collection):
         with pytest.raises(DimensionMismatchError):
-            collection.search(np.zeros(3), 1)
+            collection.search_rows(np.zeros((1, 3)), 1)
 
     def test_empty_collection_search(self):
-        assert Collection("empty", dim=4).search(np.zeros(4), 3) == []
+        found = Collection("empty", dim=4).search_rows(np.zeros((2, 4)), 3)
+        assert [rows.tolist() for rows, _ in found] == [[], []]
 
-    @pytest.mark.parametrize("kind", ["hnsw", "pq", "hnsw+pq", "ivf", "exact"])
+    @pytest.mark.parametrize("kind", ["hnsw", "hnsw+pq", "exact"])
     def test_indexed_search_contains_true_top1(self, collection, kind, rng):
         params = {}
         if kind in ("hnsw", "hnsw+pq"):
             params.update(m=4, ef_construction=20)
-        if kind in ("pq", "hnsw+pq"):
+        if kind == "hnsw+pq":
             params.update(n_subvectors=4, n_centroids=16)
-        if kind == "ivf":
-            params.update(n_cells=4, n_probe=4)
         collection.create_index(kind, **params)
         target = collection.get(20).vector
-        hits = collection.search(target, 5, rescore=True)
-        assert 20 in {h.id for h in hits}
+        assert 20 in ids_of(collection, target, 5)
 
     def test_index_refreshes_after_upsert(self, collection, rng):
         collection.create_index("hnsw", m=4, ef_construction=20)
         fresh = rng.standard_normal(8)
-        collection.upsert([Point(777, fresh, {})])
-        hits = collection.search(fresh, 1)
-        assert hits[0].id == 777
+        collection.upsert([Point(777, fresh, {"rank": 777})])
+        assert ids_of(collection, fresh, 1) == [777]
 
     def test_index_refreshes_after_delete(self, collection):
         # Deletion marks the index stale; the next search must rebuild
         # it and never resurrect the deleted point.
         collection.create_index("hnsw", m=4, ef_construction=20)
         target = collection.get(20).vector
-        assert collection.search(target, 1)[0].id == 20
+        assert ids_of(collection, target, 1) == [20]
         assert collection.delete([20]) == 1
-        hits = collection.search(target, 5)
-        assert 20 not in {h.id for h in hits}
-        assert len(hits) == 5
+        ids = ids_of(collection, target, 5)
+        assert 20 not in ids
+        assert len(ids) == 5
 
     def test_vectors_view_readonly(self, collection):
         with pytest.raises(ValueError):
             collection.vectors[0, 0] = 1.0
 
-    def test_scroll_with_filter(self, collection):
-        filt = Filter(must=[FieldCondition("group", match=MatchValue("odd"))])
-        points = collection.scroll(filt)
-        assert len(points) == 25
 
+class TestRefusedUpsert:
+    """A refused upsert leaves the collection as it was; an id repeated
+    within one call keeps its last point."""
 
-class TestVectorDatabase:
-    def test_create_get_drop(self):
-        db = VectorDatabase()
-        db.create_collection("a", dim=4)
-        assert "a" in db and len(db) == 1
-        assert db.get_collection("a").dim == 4
-        db.drop_collection("a")
-        assert "a" not in db
+    @staticmethod
+    def _one_point():
+        col = Collection("c", dim=4)
+        col.upsert([Point(1, np.ones(4), {"v": 1})])
+        return col
 
-    def test_duplicate_create(self):
-        db = VectorDatabase()
-        db.create_collection("a", dim=4)
-        with pytest.raises(CollectionExistsError):
-            db.create_collection("a", dim=4)
+    @staticmethod
+    def assert_untouched(col):
+        assert len(col) == 1 and 1 in col and 2 not in col
+        assert col.vectors.shape == (1, 4)
+        got = col.get(1)
+        np.testing.assert_array_equal(got.vector, np.ones(4))
+        assert got.payload == {"v": 1}
 
-    def test_missing_collection(self):
-        with pytest.raises(CollectionNotFoundError):
-            VectorDatabase().get_collection("nope")
-        with pytest.raises(CollectionNotFoundError):
-            VectorDatabase().drop_collection("nope")
+    def test_bad_dim_later_in_the_call_changes_nothing(self):
+        col = self._one_point()
+        with pytest.raises(DimensionMismatchError):
+            col.upsert(
+                [Point(1, np.full(4, 2.0), {"v": 2}), Point(3, np.ones(4)), Point(2, np.ones(3))]
+            )
+        self.assert_untouched(col)
+        assert 3 not in col
 
-    def test_list_sorted(self):
-        db = VectorDatabase()
-        db.create_collection("zz", dim=2)
-        db.create_collection("aa", dim=2)
-        assert db.list_collections() == ["aa", "zz"]
+    def test_new_id_repeated_in_one_call_keeps_the_last_point(self):
+        col = self._one_point()
+        col.upsert([Point(2, np.full(4, 2.0), {"v": "a"}), Point(2, np.full(4, 3.0), {"v": "b"})])
+        assert len(col) == 2 and col.vectors.shape == (2, 4)
+        got = col.get(2)
+        np.testing.assert_array_equal(got.vector, np.full(4, 3.0))
+        assert got.payload == {"v": "b"}
