@@ -12,7 +12,7 @@ from repro.ann import BruteForceIndex, HNSWIndex, ProductQuantizer
 from repro.clustering import HDBSCAN
 from repro.dimred import UMAP
 from repro.embedding import SemanticHashEncoder
-from repro.vectordb import Collection, Point
+from repro.vectordb import Collection
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def test_bench_pq_adc_scan(benchmark, vectors):
     query = vectors[0]
 
     def adc():
-        table = pq.adc_inner_product_table(query)
+        table = pq.adc_inner_product_tables(query[np.newaxis, :])[0]
         return pq.adc_scores(table, codes)
 
     scores = benchmark(adc)
@@ -88,8 +88,7 @@ def test_bench_hdbscan_fit(benchmark):
 
 
 def test_bench_vectordb_indexed_search(benchmark, vectors):
-    collection = Collection("bench", dim=64)
-    collection.upsert([Point(i, v, {"i": i}) for i, v in enumerate(vectors)])
+    collection = Collection("bench", vectors)
     collection.create_index("hnsw", m=8, ef_construction=60)
     query = np.random.default_rng(4).standard_normal((1, 64))
     rows, _ = benchmark(collection.search_rows, query, 10)[0]

@@ -26,61 +26,50 @@ from repro.data.covid import cdc_relation, ecdc_relation, who_relation
 from repro.embedding import CachingEncoder, SemanticHashEncoder
 from repro.linalg.distances import Metric
 from repro.storage import SegmentWriter, open_snapshot
-from repro.vectordb import Collection, Point
+from repro.vectordb import Collection
 
 
-def site_export(site: str, relation, encoder, collection: Collection) -> None:
-    """What runs inside each site: embed locally, export vectors only."""
+def site_export(site: str, relation, encoder) -> tuple[np.ndarray, list[dict]]:
+    """What runs inside each site: embed locally, export vectors only,
+    with one payload per vector row."""
     embedding = build_relation_embedding(f"{site}/{relation.name}", relation, encoder)
-    start = len(collection)
-    collection.upsert(
-        [
-            Point(
-                id=start + row,
-                vector=embedding.vectors[row],
-                # NOTE: the payload carries the dataset id and column
-                # name, but never the cell value itself.
-                payload={"site": site, "dataset": embedding.relation_id,
-                         "column": embedding.attr_names[row]},
-            )
-            for row in range(embedding.n_unique)
-        ]
-    )
+    # NOTE: the payload carries the dataset id and column name, but
+    # never the cell value itself.
+    payloads = [
+        {"site": site, "dataset": embedding.relation_id, "column": column}
+        for column in embedding.attr_names
+    ]
+    return embedding.vectors, payloads
 
 
 def main() -> None:
     encoder = CachingEncoder(SemanticHashEncoder(dim=256))
-    exported = Collection("federation", dim=256, metric=Metric.COSINE)
-
+    blocks, payloads = [], []
     for site, relation in (
         ("who.int", who_relation()),
         ("cdc.gov", cdc_relation()),
         ("ecdc.europa.eu", ecdc_relation()),
     ):
-        site_export(site, relation, encoder, exported)
+        vectors, site_payloads = site_export(site, relation, encoder)
+        blocks.append(vectors)
+        payloads.extend(site_payloads)
+    exported = np.concatenate(blocks, dtype=np.float64)
 
     with tempfile.TemporaryDirectory() as tmp:
         snapshot = Path(tmp) / "federation-snapshot"
         writer = SegmentWriter(snapshot)
-        writer.add_array("vectors", exported.vectors)
-        rows = np.arange(len(exported))
+        writer.add_array("vectors", exported)
         writer.add_json(
-            "points",
-            [{"id": int(row), "payload": payload}
-             for row, payload in zip(rows, exported.payloads_at(rows))],
+            "points", [{"id": row, "payload": payload} for row, payload in enumerate(payloads)]
         )
         writer.commit()
         print(f"exported snapshot: {sorted(p.name for p in snapshot.iterdir())}\n")
 
         shared = open_snapshot(snapshot)
-        vectors = shared.array("vectors")
-        collection = Collection("federation", dim=256, metric=Metric.COSINE)
-        collection.upsert(
-            [
-                Point(id=rec["id"], vector=vectors[row], payload=rec["payload"])
-                for row, rec in enumerate(shared.json("points"))
-            ]
-        )
+        # Row i of the vectors is point i: the payloads stay beside the
+        # rows, and the collection searches the rows.
+        points = shared.json("points")
+        collection = Collection("federation", shared.array("vectors"), metric=Metric.COSINE)
         collection.create_index("hnsw", m=8, ef_construction=40)
 
         query = "covid vaccine doses"
@@ -88,7 +77,8 @@ def main() -> None:
         print(f"query: {query!r}")
         rows, scores = collection.search_rows(q[np.newaxis, :], k=12)[0]
         seen = {}
-        for payload, score in zip(collection.payloads_at(rows), scores.tolist()):
+        for row, score in zip(rows.tolist(), scores.tolist()):
+            payload = points[row]["payload"]
             dataset = payload["dataset"]
             if dataset not in seen:
                 seen[dataset] = (score, payload["site"], payload["column"])

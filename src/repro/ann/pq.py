@@ -155,20 +155,6 @@ class ProductQuantizer:
         c_sq = np.einsum("mkd,mkd->mk", codebooks, codebooks)
         return q_sq[:, :, np.newaxis] - 2.0 * cross + c_sq[np.newaxis, :, :]
 
-    def adc_inner_product_table(self, query: np.ndarray) -> np.ndarray:
-        """Per-subspace inner-product lookup table of shape ``(m, k)``.
-
-        Delegates to the batched kernel with ``Q=1`` so single-query
-        and batched serving produce bitwise-identical tables.
-        """
-        return self.adc_inner_product_tables(
-            np.asarray(query, dtype=np.float64).ravel()
-        )[0]
-
-    def adc_l2_table(self, query: np.ndarray) -> np.ndarray:
-        """Per-subspace squared-L2 lookup table of shape ``(m, k)``."""
-        return self.adc_l2_tables(np.asarray(query, dtype=np.float64).ravel())[0]
-
     @staticmethod
     def adc_scores(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Sum table lookups over subspaces for every code row."""

@@ -1,8 +1,9 @@
 """Approximate Nearest Neighbours Search (ANNS) — Algorithm 2.
 
-Step 1 (offline): every attribute-value vector is stored in a vector
-collection together with its metadata (relation id, attribute name),
-compressed with Product Quantization and indexed with HNSW.
+Step 1 (offline): every distinct attribute-value vector, a row of the
+store's value table, is compressed with Product Quantization and
+indexed with HNSW; its metadata (relation, attribute name, count) stays
+in the table's occurrence CSR.
 
 Step 2 (query): the query vector retrieves its approximate nearest
 value vectors; each relation's score is the average similarity of *its*
@@ -20,12 +21,12 @@ from typing import Any
 import numpy as np
 
 from repro.ann.base import SearchHit, hits_from_rows
-from repro.core.base import SearchMethod
+from repro.core.base import SearchMethod, evidence_scores
 from repro.core.results import RelationMatch
 from repro.core.semimg import RelationEmbedding
 from repro.errors import NotFittedError
 from repro.linalg.distances import Metric
-from repro.vectordb.collection import Collection, Point
+from repro.vectordb.collection import Collection
 from repro.vectordb.index import IndexKind
 
 __all__ = ["ANNSearch"]
@@ -72,9 +73,10 @@ class ANNSearch(SearchMethod):
         similarity scores of the vectors of the relation identified by
         ANN" while rewarding evidence breadth.
     dtype:
-        Storage dtype of the values collection (float32 or float64).
-        float32 — the encoder's native precision — halves resident
-        vector memory; float64 is the compat mode.
+        Scan dtype of the values collection (float32 or float64).
+        float32, the value table's own dtype, searches the table's
+        matrix in place; float64, the compat mode, searches a float64
+        cast of it that ANNS keeps.
     """
 
     name = "anns"
@@ -108,9 +110,6 @@ class ANNSearch(SearchMethod):
         self.evidence_size = evidence_size
         self.seed = seed
         self._values: Collection | None = None
-        self._value_ids: dict[str, int] = {}
-        self._relation_values: dict[str, list[str]] = {}
-        self._next_id = 0
 
     def _collection(self) -> Collection:
         """The values collection; raises before :meth:`index`."""
@@ -119,8 +118,20 @@ class ANNSearch(SearchMethod):
         return self._values
 
     def index_bytes(self) -> int:
-        """Resident bytes of the values collection (vectors + codes)."""
-        return self._values.nbytes if self._values is not None else 0
+        """Resident bytes ANNS owns: the index and the cached norms, plus
+        the float64 cast of the table's matrix when ANNS scans float64.
+        The table itself is the store's."""
+        if self._values is None:
+            return 0
+        owned = self._values.nbytes
+        if self._values.dtype != self.embeddings.value_table().vectors.dtype:
+            owned += self._values.vectors.nbytes
+        return owned
+
+    def _matrix(self) -> np.ndarray:
+        """The value table's matrix in the scan dtype: the table's own
+        array when the dtypes agree."""
+        return np.asarray(self.embeddings.value_table().vectors, dtype=self.dtype)
 
     def _index_params(self) -> dict[str, Any]:
         if self.index_kind is IndexKind.EXACT:
@@ -136,10 +147,10 @@ class ANNSearch(SearchMethod):
         return params
 
     def _build(self) -> None:
-        """Step 1: populate the values collection and build the index.
+        """Step 1: index the store's value table.
 
-        One point is stored per globally DISTINCT value; its payload
-        lists every (relation, attribute, count) occurrence.  Common
+        The table holds one row per globally DISTINCT value, and its
+        CSR lists every (relation, attribute, count) occurrence.  Common
         values ("2021", country names) repeat across relations with
         byte-identical vectors, and duplicate points break proximity
         graphs: their PQ reconstructions coincide, the HNSW neighbour
@@ -148,39 +159,10 @@ class ANNSearch(SearchMethod):
         duplicates from crowding the candidate budget — one retrieved
         value is evidence for every relation that contains it.
         """
-        collection = Collection(
-            "values",
-            dim=self.embeddings.dim,
-            metric=Metric.COSINE,
-            metrics=self.metrics,
-            dtype=self.dtype,
+        self._values = Collection(
+            "values", self._matrix(), metric=Metric.COSINE, metrics=self.metrics
         )
-        owners: dict[str, list[list[Any]]] = {}
-        vectors: dict[str, np.ndarray] = {}
-        for rel in self.embeddings.relations:
-            for row in range(rel.n_unique):
-                value = rel.values[row]
-                if value not in owners:
-                    owners[value] = []
-                    vectors[value] = rel.vectors[row]
-                owners[value].append(
-                    [rel.relation_id, rel.attr_names[row], int(rel.counts[row])]
-                )
-        points = [
-            Point(id=i, vector=vectors[value], payload={"value": value, "owners": owner_list})
-            for i, (value, owner_list) in enumerate(owners.items())
-        ]
-        collection.upsert(points)
-        collection.create_index(self.index_kind, **self._index_params())
-        self._values = collection
-        # Lifecycle bookkeeping: value text -> point id, relation ->
-        # value texts it contributed.  Deltas translate into point-level
-        # upsert/delete against the collection via these maps.
-        self._value_ids = {value: i for i, value in enumerate(owners)}
-        self._next_id = len(owners)
-        self._relation_values = {}
-        for rel in self.embeddings.relations:
-            self._relation_values[rel.relation_id] = list(rel.values)
+        self._values.create_index(self.index_kind, **self._index_params())
 
     def _apply_delta(
         self,
@@ -188,67 +170,10 @@ class ANNSearch(SearchMethod):
         updated: list[RelationEmbedding],
         removed: list[str],
     ) -> None:
-        """Translate a federation delta into collection upsert/delete.
-
-        Retiring a relation strips its entries from each of its values'
-        ``owners`` payload; points left with no owners are deleted.
-        Fresh relations upsert — existing value points (the vector for
-        a given text is canonical) gain owner entries, genuinely new
-        values become new points.  The collection's own index-staleness
-        handling rebuilds the ANN graph lazily on the next search.
-        """
-        collection = self._collection()
-        drop_ids = list(removed) + [r.relation_id for r in updated]
-        dropped = set(drop_ids)
-        affected: dict[str, None] = {}  # ordered value set
-        for rid in drop_ids:
-            for value in self._relation_values.pop(rid, ()):
-                affected[value] = None
-        to_delete: list[int] = []
-        to_upsert: list[Point] = []
-        for value in affected:
-            point_id = self._value_ids[value]
-            point = collection.get(point_id)
-            owners = [o for o in point.payload["owners"] if o[0] not in dropped]
-            if owners:
-                to_upsert.append(
-                    Point(id=point_id, vector=point.vector, payload={"value": value, "owners": owners})
-                )
-            else:
-                to_delete.append(point_id)
-                del self._value_ids[value]
-        pending: dict[int, Point] = {p.id: p for p in to_upsert}
-        for rel in updated + added:
-            self._relation_values[rel.relation_id] = list(rel.values)
-            for row in range(rel.n_unique):
-                value = rel.values[row]
-                entry = [rel.relation_id, rel.attr_names[row], int(rel.counts[row])]
-                point_id = self._value_ids.get(value)
-                if point_id is None:
-                    point_id = self._next_id
-                    self._next_id += 1
-                    self._value_ids[value] = point_id
-                    pending[point_id] = Point(
-                        id=point_id,
-                        vector=rel.vectors[row],
-                        payload={"value": value, "owners": [entry]},
-                    )
-                elif point_id in pending:
-                    pending[point_id].payload["owners"].append(entry)
-                else:
-                    point = collection.get(point_id)
-                    pending[point_id] = Point(
-                        id=point_id,
-                        vector=point.vector,
-                        payload={
-                            "value": value,
-                            "owners": list(point.payload["owners"]) + [entry],
-                        },
-                    )
-        if pending:
-            collection.upsert(list(pending.values()))
-        if to_delete:
-            collection.delete(to_delete)
+        """The store's value table has absorbed the delta: search its
+        new matrix.  The graph rebuilds lazily, at the next query."""
+        del added, updated, removed
+        self._collection().reset(self._matrix())
 
     def candidate_budget(self, n_relations: int) -> int:
         """The retrieval budget for a corpus of ``n_relations``:
@@ -313,26 +238,30 @@ class ANNSearch(SearchMethod):
 
     def _group_rows(self, rows: np.ndarray, scores: np.ndarray) -> list[RelationMatch]:
         """Fixed-size evidence averaging of one query's retrieved values,
-        read from the stored payloads by row."""
-        payloads = self._collection().payloads_at(rows)
-        per_relation: dict[str, list[float]] = defaultdict(list)
-        per_relation_attrs: dict[str, set[str]] = defaultdict(set)
-        for payload, score in zip(payloads, scores.tolist()):
-            for relation_id, attribute, count in payload["owners"]:
-                # A value occurring `count` times in the relation is
-                # `count` matched attributes (Algorithm 2 averages over
-                # attribute occurrences, as ExS does).
-                per_relation[relation_id].extend([score] * count)
-                per_relation_attrs[relation_id].add(attribute)
-        m = self.evidence_size
+        their owners read from the value table's occurrence CSR."""
+        if not rows.shape[0]:
+            return []
+        table = self.embeddings.value_table()
+        occ, which = table.occurrences(rows)
+        owners = table.occ_relation[occ]
+        # A value occurring `count` times in the relation is `count`
+        # matched attributes (Algorithm 2 averages over attribute
+        # occurrences, as ExS does).
+        ranked, relation_scores, n_hits = evidence_scores(
+            owners, scores[which], table.occ_count[occ], self.evidence_size
+        )
+        relations = self.embeddings.relations
+        pair_rows = table.occ_flat[occ] - table.offsets[owners]
+        attributes: dict[int, set[str]] = defaultdict(set)
+        for owner, pair in zip(owners.tolist(), pair_rows.tolist()):
+            attributes[owner].add(relations[owner].attr_names[pair])
         return [
             RelationMatch(
-                relation_id=relation_id,
-                score=sum(sorted(evidence, reverse=True)[:m]) / m,
-                details={
-                    "n_hits": len(evidence),
-                    "attributes": sorted(per_relation_attrs[relation_id]),
-                },
+                relation_id=relations[owner].relation_id,
+                score=score,
+                details={"n_hits": hits, "attributes": sorted(attributes[owner])},
             )
-            for relation_id, evidence in per_relation.items()
+            for owner, score, hits in zip(
+                ranked.tolist(), relation_scores.tolist(), n_hits.tolist()
+            )
         ]

@@ -6,6 +6,8 @@ import abc
 import time
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.annotations import requires_lock
 from repro.core.results import BatchResult, RelationMatch, SearchResult
 from repro.core.semimg import FederationEmbeddings, RelationEmbedding
@@ -13,7 +15,7 @@ from repro.errors import NotFittedError
 from repro.obs import MetricsRegistry
 from repro.sanitize import sanitize_enabled
 
-__all__ = ["SearchMethod"]
+__all__ = ["SearchMethod", "evidence_scores"]
 
 
 class SearchMethod(abc.ABC):
@@ -215,3 +217,36 @@ class SearchMethod(abc.ABC):
             ],
             elapsed_ms=elapsed_ms,
         )
+
+
+def evidence_scores(
+    owners: np.ndarray, sims: np.ndarray, counts: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-size evidence averaging, grouped by owner.
+
+    Row ``i`` is ``counts[i]`` hits of similarity ``sims[i]`` for relation
+    ``owners[i]``: multiplicity-weighted, as in ExS, a value occurring k
+    times in a relation is k matched attributes.  Each relation scores
+    the sum of its ``m`` best hits over ``m`` (missing slots count zero).
+    Returns the distinct owners (ascending), their scores and hit counts.
+
+    The ``m`` best are summed left to right, column by column, over a
+    zero-padded ``(R, m)`` matrix: the order Python's ``sum`` over the
+    descending list takes, so each score keeps those bits (a zero pad
+    adds exactly nothing).  ``np.add.reduce`` would sum pairwise.
+    """
+    order = np.lexsort((-sims, owners))
+    counts = counts[order]
+    hit_owners = np.repeat(owners[order], counts)
+    hit_sims = np.repeat(sims[order], counts)
+    firsts = np.flatnonzero(np.r_[True, hit_owners[1:] != hit_owners[:-1]])
+    n_hits = np.diff(np.r_[firsts, hit_owners.shape[0]])
+    group = np.repeat(np.arange(firsts.shape[0]), n_hits)
+    rank = np.arange(hit_owners.shape[0]) - firsts[group]
+    best = np.zeros((firsts.shape[0], m))
+    top = rank < m
+    best[group[top], rank[top]] = hit_sims[top]
+    total = np.zeros(firsts.shape[0])
+    for column in best.T:
+        total = total + column
+    return hit_owners[firsts], total / m, n_hits

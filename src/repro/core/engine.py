@@ -335,9 +335,12 @@ class DiscoveryEngine:
         return self._methods[name]
 
     def _publish_index_bytes(self) -> None:
-        """Total resident vector/code bytes across built method indexes."""
+        """Resident bytes of the store's value table, counted once, plus
+        what each built method owns."""
         # Snapshot: another reader may lazily publish a method mid-sum.
         total = sum(method.index_bytes() for method in list(self._methods.values()))
+        if self._embeddings is not None:
+            total += self._embeddings.table_nbytes
         self.metrics.gauge("engine.index_bytes").set(float(total))
 
     def build_all(self) -> "DiscoveryEngine":
@@ -472,6 +475,7 @@ class DiscoveryEngine:
         """Thread one (already stored) delta through every built method
         and record the lifecycle metrics.  Caller holds the write lock."""
         store = self.embeddings
+        store.absorb_delta(added, updated, removed)
         for method in self._methods.values():
             method.apply_delta(added, updated, removed)
         if self.query_cache is not None:

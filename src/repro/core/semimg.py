@@ -42,6 +42,7 @@ from repro.storage import (
 
 __all__ = [
     "RelationEmbedding",
+    "ValueTable",
     "FederationEmbeddings",
     "build_relation_embedding",
     "build_federation_embeddings",
@@ -157,6 +158,112 @@ def relation_centroids(relations: Sequence[RelationEmbedding]) -> np.ndarray:
     return weights @ rows
 
 
+class ValueTable:
+    """Every distinct value text of a federation, once: the value store
+    ANNS and CTS both search.
+
+    Row ``i`` is the text ``values[i]`` with its float32 unit vector
+    ``vectors[i]``.  Its occurrences, the (relation, attribute, count)
+    pairs that hold the text, are positions ``indptr[i]:indptr[i + 1]``
+    of a CSR, ascending in store order: ``occ_relation`` is the
+    relation's position in the store, ``occ_flat`` the pair's position
+    among all relations' pairs laid end to end (relation ``r``'s pairs
+    start at ``offsets[r]``), ``occ_count`` its multiplicity.
+
+    A fresh table numbers rows by first occurrence.  :meth:`patch` then
+    absorbs one whole delta: the retired and updated relations drop
+    their references, each value left with none is compacted away
+    (order-preserving), and each value of the updated and added
+    relations that is not live gets a new row at the end.  A row keeps
+    the vector it was added with; encoders are deterministic, so every
+    relation holding a text holds the same vector for it.
+    """
+
+    def __init__(self, relations: Sequence[RelationEmbedding]) -> None:
+        self.values: list[str] = []
+        self.row_of: dict[str, int] = {}
+        self.vectors = np.empty((0, relations[0].dim), dtype=np.float32)
+        #: Relation id -> the table row of each of its (name, value) pairs.
+        self._pair_rows: dict[str, np.ndarray] = {}
+        self._append(relations)
+        self._index_occurrences(relations)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def nbytes(self) -> int:
+        """Vectors, the occurrence CSR and the pair -> row maps."""
+        arrays = [self.vectors, self.indptr, self.offsets, self.occ_relation]
+        arrays += [self.occ_flat, self.occ_count, *self._pair_rows.values()]
+        return sum(int(a.nbytes) for a in arrays)
+
+    def patch(
+        self,
+        relations: Sequence[RelationEmbedding],
+        added: Sequence[RelationEmbedding],
+        updated: Sequence[RelationEmbedding],
+        removed: Sequence[str],
+    ) -> None:
+        """Absorb one delta that ``relations`` (the store's new list)
+        already holds."""
+        for relation_id in [*removed, *(r.relation_id for r in updated)]:
+            del self._pair_rows[relation_id]
+        live = np.zeros(len(self.values), dtype=bool)
+        live[np.concatenate([np.empty(0, np.intp), *self._pair_rows.values()])] = True
+        if not live.all():
+            remap = np.cumsum(live) - 1
+            self.vectors = self.vectors[live]
+            self.values = [v for v, keep in zip(self.values, live.tolist()) if keep]
+            self.row_of = {value: row for row, value in enumerate(self.values)}
+            self._pair_rows = {rid: remap[rows] for rid, rows in self._pair_rows.items()}
+        self._append([*updated, *added])
+        self._index_occurrences(relations)
+
+    def by_first_occurrence(self) -> np.ndarray:
+        """Every row, ordered by where its text first occurs in store
+        order: the order a fresh table would number them in."""
+        return np.argsort(self.occ_flat[self.indptr[:-1]])
+
+    def occurrences(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR positions of ``rows``' occurrences, row after row,
+        and for each the index into ``rows`` it belongs to."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        which = np.repeat(np.arange(rows.shape[0]), lengths)
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return shift + np.arange(which.shape[0]), which
+
+    def _append(self, relations: Sequence[RelationEmbedding]) -> None:
+        """Map each relation's pairs to rows, adding a row per new text."""
+        fresh: list[np.ndarray] = []
+        for rel in relations:
+            rows: list[int] = []
+            new: list[int] = []
+            for i, value in enumerate(rel.values):
+                row = self.row_of.get(value)
+                if row is None:
+                    row = self.row_of[value] = len(self.values)
+                    self.values.append(value)
+                    new.append(i)
+                rows.append(row)
+            self._pair_rows[rel.relation_id] = np.asarray(rows, dtype=np.intp)
+            if new:
+                fresh.append(rel.vectors[new])
+        if fresh:
+            self.vectors = np.concatenate([self.vectors, *fresh], dtype=np.float32)
+
+    def _index_occurrences(self, relations: Sequence[RelationEmbedding]) -> None:
+        """Rebuild the occurrence CSR over the store order."""
+        sizes = np.asarray([r.n_unique for r in relations], dtype=np.intp)
+        keys = np.concatenate([self._pair_rows[r.relation_id] for r in relations])
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.occ_flat = np.argsort(keys, kind="stable")
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=len(self)))])
+        self.occ_relation = np.repeat(np.arange(len(relations)), sizes)[self.occ_flat]
+        self.occ_count = np.concatenate([r.counts for r in relations])[self.occ_flat]
+
+
 @monotonic("generation")
 @dataclass
 class FederationEmbeddings:
@@ -187,6 +294,9 @@ class FederationEmbeddings:
     saved_centroids: "tuple[np.ndarray, int] | None" = field(
         default=None, repr=False, compare=False
     )
+    #: The value table and the generation it reflects.
+    _table: "ValueTable | None" = field(default=None, init=False, repr=False, compare=False)
+    _table_generation: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -294,17 +404,34 @@ class FederationEmbeddings:
             return self.saved_centroids[0]
         return relation_centroids(self.relations)
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All value vectors stacked, plus each row's relation index.
+    def value_table(self) -> "ValueTable":
+        """The :class:`ValueTable` ANNS and CTS read, built over the
+        relations on the first call and patched by :meth:`absorb_delta`
+        from then on; a mutation no delta reported rebuilds it.  ExS
+        never asks, so ExS-only stores hold none."""
+        if self._table is None or self._table_generation != self.generation:
+            self._table = ValueTable(self.relations)
+            self._table_generation = self.generation
+        return self._table
 
-        Returns ``(matrix, owner)`` where ``owner[i]`` is the index into
-        :attr:`relations` of the relation owning row ``i``.
-        """
-        matrix = np.vstack([r.vectors for r in self.relations])
-        owner = np.concatenate(
-            [np.full(r.n_unique, i, dtype=np.intp) for i, r in enumerate(self.relations)]
-        )
-        return matrix, owner
+    @property
+    def table_nbytes(self) -> int:
+        """Resident bytes of the value table; 0 until it is built."""
+        return self._table.nbytes if self._table is not None else 0
+
+    @requires_lock("write")
+    def absorb_delta(
+        self,
+        added: Sequence[RelationEmbedding],
+        updated: Sequence[RelationEmbedding],
+        removed: Sequence[str],
+    ) -> None:
+        """Patch the value table, if built, with one whole delta that
+        the relation list already holds (one generation per change)."""
+        before = self.generation - len(added) - len(updated) - len(removed)
+        if self._table is not None and self._table_generation == before:
+            self._table.patch(self.relations, added, updated, removed)
+            self._table_generation = self.generation
 
     def release_backing(self) -> None:
         """Close the mapped snapshot file this store holds.  The pages

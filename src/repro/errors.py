@@ -28,10 +28,6 @@ class CollectionError(ReproError):
     """A vector collection operation failed."""
 
 
-class PointNotFoundError(CollectionError):
-    """The requested point id does not exist in the collection."""
-
-
 class EmptyIndexError(ReproError):
     """A search was issued against an index that contains no vectors."""
 

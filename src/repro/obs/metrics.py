@@ -248,7 +248,7 @@ class MetricsRegistry:
             return iter(list(self._histograms.values()))
 
     def snapshot(self) -> dict[str, Any]:
-        """Point-in-time view: counters + gauges + histogram summaries."""
+        """A view at one instant: counters + gauges + histogram summaries."""
         return {
             "counters": {c.name: c.value for c in sorted(self.counters(), key=lambda c: c.name)},
             "gauges": {g.name: g.value for g in sorted(self.gauges(), key=lambda g: g.name)},

@@ -65,7 +65,7 @@ VOCABULARY: tuple[MetricSpec, ...] = (
     MetricSpec("engine.relations_updated", "counter", "Relations re-embedded across all deltas."),
     MetricSpec("engine.relations_removed", "counter", "Relations retired across all deltas."),
     MetricSpec("engine.generation", "gauge", "Store generation the engine last published."),
-    MetricSpec("engine.index_bytes", "gauge", "Resident vector/code bytes across built method indexes."),
+    MetricSpec("engine.index_bytes", "gauge", "Resident bytes of the store's value table (counted once) plus what each built method owns."),
     # -- <method>.<stage> -------------------------------------------------
     MetricSpec("{method}.encode", "histogram", "Query-encoding stage latency (ms)."),
     MetricSpec("{method}.scan", "histogram", "Similarity-scan stage latency (ms)."),
@@ -118,7 +118,7 @@ VOCABULARY: tuple[MetricSpec, ...] = (
     MetricSpec("vectordb.points_scanned", "counter", "Points scored by exact scans."),
     MetricSpec("vectordb.index_probes", "counter", "ANN index probes."),
     MetricSpec("vectordb.scan", "histogram", "Collection scan latency (ms)."),
-    MetricSpec("vectordb.{collection}.bytes", "gauge", "Resident bytes of one collection (vectors + norms + index)."),
+    MetricSpec("vectordb.{collection}.bytes", "gauge", "Resident bytes one collection adds to the matrix it is given (norms + index)."),
 )
 
 #: Registry methods mapped to the instrument kind they create.

@@ -1,51 +1,37 @@
-"""A named collection of points: vectors + payload metadata.
+"""A k-NN search over a matrix it is given.
 
-The unit of storage mirrors Qdrant: a *point* has an id, a vector and a
-JSON-like payload.  :meth:`Collection.search_rows` is the one search:
-an exact scan without an index, or the attached index's candidates
-re-scored against the stored vectors.
+ANNS hands it the store's value table, CTS its cluster medoids.
+:meth:`Collection.search_rows` is the one search: an exact scan without
+an index, or the attached index's candidates re-scored against the
+matrix.  Rows are the ids; what a row stands for is the caller's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
 import numpy as np
 
 from repro.ann.base import VectorIndex
-from repro.errors import (
-    CollectionError,
-    DimensionMismatchError,
-    PointNotFoundError,
-)
+from repro.errors import CollectionError, DimensionMismatchError
 from repro.linalg.distances import Metric, normalize_rows, pairwise_similarity, row_norms
 from repro.linalg.topk import top_k_indices_rowwise
 from repro.obs import MetricsRegistry
 from repro.sanitize import guard_operands, sanitize_enabled
 from repro.vectordb.index import IndexKind, make_index
 
-__all__ = ["Point", "Collection"]
-
-
-@dataclass(frozen=True)
-class Point:
-    """A stored point: id, vector, payload."""
-
-    id: int | str
-    vector: np.ndarray
-    payload: dict[str, Any] = field(default_factory=dict)
+__all__ = ["Collection"]
 
 
 class Collection:
-    """A growable set of points with exact and ANN search.
+    """Exact and ANN search over a ``(n, dim)`` float32 or float64
+    matrix, which the collection reads and never copies or writes.
 
     Parameters
     ----------
     name:
         Collection name; it names the ``vectordb.<name>.bytes`` gauge.
-    dim:
-        Vector dimensionality; enforced on every upsert.
+    vectors:
+        The matrix searched; its dtype is the collection's storage and
+        compute dtype, and query blocks are cast to it.
     metric:
         Similarity metric used by searches.
     metrics:
@@ -53,107 +39,53 @@ class Collection:
         latency into; a private registry is created when not given, so
         recording is unconditional and an engine can inject its shared
         one.
-    dtype:
-        Storage/compute dtype for vectors (float32 or float64, default
-        float64 for backwards compatibility).  float32 halves resident
-        memory and scan bandwidth; the engine's ``dtype`` knob selects
-        it for the ANNS values collection.
     """
 
     def __init__(
         self,
         name: str,
-        dim: int,
+        vectors: np.ndarray,
         metric: Metric = Metric.COSINE,
         metrics: MetricsRegistry | None = None,
-        dtype: "str | np.dtype[Any] | type" = np.float64,
     ):
-        if dim < 1:
-            raise CollectionError("dim must be >= 1")
         self.name = name
-        self.dim = dim
         self.metric = metric
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        if vectors.ndim != 2 or vectors.shape[1] < 1:
+            raise CollectionError("vectors must be an (n, dim) matrix with dim >= 1")
+        if vectors.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise CollectionError("dtype must be float32 or float64")
-        self._ids: list[int | str] = []
-        self._id_to_row: dict[int | str, int] = {}
-        self._vectors = np.empty((0, dim), dtype=self.dtype)
-        self._payloads: list[dict[str, Any]] = []
+        self.dim = vectors.shape[1]
+        self.dtype = vectors.dtype
+        self._vectors = vectors
         self._index: VectorIndex | None = None
         self._index_stale = False
         # Cached row norms make cosine exact search a bare GEMM (no
         # per-query O(n·d) normalization pass over the store).
         self._norms = np.empty(0, dtype=self.dtype)
-        self._norms_stale = False
+        self._norms_stale = True
         #: REPRO_SANITIZE=1 arms operand guards at the batch boundary.
         self.sanitize = sanitize_enabled()
+        self._publish_bytes()
 
-    # -- mutation --------------------------------------------------------
-
-    def upsert(self, points: list[Point]) -> None:
-        """Insert new points or overwrite existing ids.
-
-        Every point is checked before anything changes, so a refused
-        call leaves the collection as it was.  When an id repeats
-        within one call, the last point wins (Qdrant's upsert rule).
-        """
-        latest: dict[int | str, tuple[np.ndarray, dict[str, Any]]] = {}
-        for point in points:
-            vector = np.asarray(point.vector, dtype=self.dtype).ravel()
-            if vector.shape[0] != self.dim:
-                raise DimensionMismatchError(
-                    f"point {point.id!r}: dim {vector.shape[0]} != collection dim {self.dim}"
-                )
-            latest[point.id] = (vector, dict(point.payload))
-        fresh_vectors: list[np.ndarray] = []
-        for point_id, (vector, payload) in latest.items():
-            row = self._id_to_row.get(point_id)
-            if row is not None:
-                self._vectors[row] = vector
-                self._payloads[row] = payload
-            else:
-                self._id_to_row[point_id] = len(self._ids)
-                self._ids.append(point_id)
-                self._payloads.append(payload)
-                fresh_vectors.append(vector)
-        if fresh_vectors:
-            self._vectors = np.vstack([self._vectors, np.vstack(fresh_vectors)])
-        if points:
-            self._index_stale = True
-            self._norms_stale = True
-            self._publish_bytes()
-
-    def delete(self, ids: list[int | str]) -> int:
-        """Delete points by id; returns how many existed."""
-        to_drop = {i for i in ids if i in self._id_to_row}
-        if not to_drop:
-            return 0
-        keep = [row for row, pid in enumerate(self._ids) if pid not in to_drop]
-        self._vectors = self._vectors[keep]
-        self._ids = [self._ids[row] for row in keep]
-        self._payloads = [self._payloads[row] for row in keep]
-        self._id_to_row = {pid: row for row, pid in enumerate(self._ids)}
+    def reset(self, vectors: np.ndarray) -> None:
+        """Search ``vectors`` from now on: same dim and dtype, any number
+        of rows.  The norms and the index rebuild at the next search."""
+        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"vectors of shape {vectors.shape} for a collection of dim {self.dim}"
+            )
+        if vectors.dtype != self.dtype:
+            raise CollectionError(f"vectors are {vectors.dtype}, the collection {self.dtype}")
+        self._vectors = vectors
         self._index_stale = True
         self._norms_stale = True
         self._publish_bytes()
-        return len(to_drop)
 
     # -- access ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, point_id: int | str) -> bool:
-        return point_id in self._id_to_row
-
-    def get(self, point_id: int | str) -> Point:
-        """Fetch one point by id."""
-        row = self._id_to_row.get(point_id)
-        if row is None:
-            raise PointNotFoundError(f"{point_id!r} not in collection {self.name!r}")
-        return Point(point_id, self._vectors[row].copy(), dict(self._payloads[row]))
+        return self._vectors.shape[0]
 
     @property
     def vectors(self) -> np.ndarray:
@@ -164,8 +96,9 @@ class Collection:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: raw vectors + cached norms + index storage."""
-        total = int(self._vectors.nbytes) + int(self._norms.nbytes)
+        """Resident bytes the collection adds to the matrix it is given:
+        cached norms + index storage."""
+        total = int(self._norms.nbytes)
         if self._index is not None:
             total += self._index.nbytes
         return total
@@ -208,8 +141,8 @@ class Collection:
         self, queries: np.ndarray, k: int, ef: int | None = None
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Top-k ``(rows, scores)`` arrays for each row of a ``(Q, dim)``
-        query block, best first; rows index :attr:`vectors` and
-        :meth:`payloads_at`, scores keep the dtype their kernel produced.
+        query block, best first; rows index :attr:`vectors`, scores keep
+        the dtype their kernel produced.
 
         Exact (index-less) collections answer the whole block with one
         similarity GEMM and per-row top-k selection.  Indexed
@@ -249,10 +182,6 @@ class Collection:
             if self._index is None:
                 return self._search_exact(queries, k)
             return self._search_indexed(queries, k, ef)
-
-    def payloads_at(self, rows: np.ndarray) -> list[dict[str, Any]]:
-        """The stored payloads of ``rows``, not copied: read only."""
-        return [self._payloads[row] for row in rows.tolist()]
 
     def _exact_scores(
         self, queries: np.ndarray, rows_arr: np.ndarray | None = None

@@ -145,7 +145,7 @@ class TestProductQuantizer:
         pq = ProductQuantizer(n_subvectors=4, n_centroids=16).fit(points)
         codes = pq.encode(points[:20])
         q = points[0]
-        table = pq.adc_inner_product_table(q)
+        table = pq.adc_inner_product_tables(q[np.newaxis, :])[0]
         adc = pq.adc_scores(table, codes)
         exact = pq.decode(codes) @ q
         np.testing.assert_allclose(adc, exact, atol=1e-9)
@@ -154,7 +154,7 @@ class TestProductQuantizer:
         pq = ProductQuantizer(n_subvectors=4, n_centroids=16).fit(points)
         codes = pq.encode(points[:20])
         q = points[1]
-        table = pq.adc_l2_table(q)
+        table = pq.adc_l2_tables(q[np.newaxis, :])[0]
         adc = pq.adc_scores(table, codes)
         exact = np.sum((pq.decode(codes) - q) ** 2, axis=1)
         np.testing.assert_allclose(adc, exact, atol=1e-9)

@@ -28,12 +28,12 @@ from hypothesis import strategies as st
 
 from repro.ann import BruteForceIndex, HNSWIndex
 from repro.core import DiscoveryEngine
-from repro.core.cts import _evidence_scores
+from repro.core.base import evidence_scores
 from repro.datamodel import Federation, Relation
 from repro.embedding import SemanticHashEncoder
 from repro.errors import SanitizerError
 from repro.linalg.distances import Metric, normalize_rows
-from repro.vectordb.collection import Collection, Point
+from repro.vectordb.collection import Collection
 
 # -- the old HNSW query loops (oracle) ------------------------------------
 
@@ -226,7 +226,7 @@ class TestCTSGroupingAgainstOldScoring:
     @given(evidence_cases())
     def test_bit_identical(self, case):
         owners, sims, counts, m = case
-        got_owners, scores, n_hits = _evidence_scores(owners, sims, counts, m)
+        got_owners, scores, n_hits = evidence_scores(owners, sims, counts, m)
         got = {
             owner: (score, hits)
             for owner, score, hits in zip(got_owners.tolist(), scores.tolist(), n_hits.tolist())
@@ -240,7 +240,7 @@ class TestCTSGroupingAgainstOldScoring:
         owners = np.array([0, 1, 0, 2])
         sims = np.array([0.5, 0.9, 0.25, 0.1])
         counts = np.array([3, 1, 1, 2])
-        got_owners, scores, n_hits = _evidence_scores(owners, sims, counts, 4)
+        got_owners, scores, n_hits = evidence_scores(owners, sims, counts, 4)
         assert got_owners.tolist() == [0, 1, 2]
         assert scores.tolist() == [(0.5 * 3 + 0.25) / 4, 0.9 / 4, 0.2 / 4]
         assert n_hits.tolist() == [4, 1, 2]
@@ -251,11 +251,7 @@ class TestCTSGroupingAgainstOldScoring:
 
 def _values_collection(dtype=np.float64, n=60, dim=16):
     rng = np.random.default_rng(0)
-    collection = Collection("values", dim=dim, dtype=dtype)
-    collection.upsert(
-        [Point(id=i, vector=rng.standard_normal(dim), payload={"i": i}) for i in range(n)]
-    )
-    return collection
+    return Collection("values", rng.standard_normal((n, dim)).astype(dtype))
 
 
 class ExplodingIndex(BruteForceIndex):
@@ -300,8 +296,7 @@ class TestIndexedSearch:
 
     @pytest.mark.parametrize("kind", ["hnsw", "hnsw+pq", "exact"])
     def test_wrappers_match_search_rows(self, kind):
-        # A block's rows answer exactly as one-row blocks do, and the
-        # payloads read by row are the stored ones.
+        # A block's rows answer exactly as one-row blocks do.
         collection = _values_collection()
         params = {"n_centroids": 16} if "pq" in kind else {}
         collection.create_index(kind, **params)
@@ -311,7 +306,6 @@ class TestIndexedSearch:
             single_rows, single_scores = collection.search_rows(q[np.newaxis, :], k=5, ef=30)[0]
             assert single_rows.tolist() == r.tolist()
             assert single_scores.tolist() == s.tolist()
-            assert collection.payloads_at(r) == [collection.get(i).payload for i in r.tolist()]
 
     def test_float64_block_trips_the_dtype_guard(self, monkeypatch):
         # Collections arm their guards from the environment, as the

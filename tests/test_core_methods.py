@@ -79,21 +79,21 @@ class TestANNSearch:
             result = anns.search("COVID", k=3, h=-1.0)
             assert set(result.relation_ids()) & COVID_TRIO
 
-    @staticmethod
-    def _stored_payloads(engine):
-        collection = engine.method("anns")._values
-        return collection.payloads_at(np.arange(len(collection)))
-
     def test_deduplicated_storage(self, indexed_engine):
-        values = [p["value"] for p in self._stored_payloads(indexed_engine)]
-        assert len(values) == len(set(values))
+        indexed_engine.method("anns")
+        table = indexed_engine.embeddings.value_table()
+        assert len(table.values) == len(set(table.values))
+        # ANNS searches the table's matrix itself, not a copy.
+        collection = indexed_engine.method("anns")._values
+        assert np.shares_memory(collection.vectors, table.vectors)
 
     def test_owners_cover_duplicates(self, indexed_engine):
         # "2021-01-01" appears in WHO, CDC and ECDC
-        payloads = self._stored_payloads(indexed_engine)
-        shared = [p for p in payloads if p["value"] == "2021-01-01"]
-        assert len(shared) == 1
-        owner_rels = {rel for rel, _, _ in shared[0]["owners"]}
+        indexed_engine.method("anns")
+        embeddings = indexed_engine.embeddings
+        table = embeddings.value_table()
+        occ, _ = table.occurrences(np.array([table.row_of["2021-01-01"]]))
+        owner_rels = {embeddings.relations[r].relation_id for r in table.occ_relation[occ]}
         assert owner_rels == COVID_TRIO
 
     def test_invalid_candidates(self):

@@ -60,18 +60,28 @@ class TestFederationEmbeddings:
         q = embs.encode_query("covid vaccines")
         assert np.linalg.norm(q) == pytest.approx(1.0)
 
-    def test_stacked_alignment(self, encoder64, tiny_federation):
+    def test_value_table_alignment(self, encoder64, tiny_federation):
         embs = build_federation_embeddings(tiny_federation, encoder64)
-        matrix, owner = embs.stacked()
-        assert matrix.shape[0] == owner.shape[0] == embs.total_vectors
-        # owners are contiguous blocks in relation order
-        start = 0
-        for i, rel in enumerate(embs.relations):
-            np.testing.assert_array_equal(owner[start : start + rel.n_unique], i)
-            np.testing.assert_allclose(
-                matrix[start : start + rel.n_unique], rel.vectors
-            )
-            start += rel.n_unique
+        table = embs.value_table()
+        assert embs.value_table() is table  # built once
+        assert table.vectors.dtype == np.float32
+        assert len(table) == len({v for rel in embs.relations for v in rel.values})
+        # every (relation, pair) occurs once, under its value's row, with
+        # that relation's vector and count
+        assert table.indptr[-1] == embs.total_vectors
+        seen = set()
+        for row, value in enumerate(table.values):
+            for o in range(table.indptr[row], table.indptr[row + 1]):
+                rel_pos = int(table.occ_relation[o])
+                rel = embs.relations[rel_pos]
+                pair = int(table.occ_flat[o] - table.offsets[rel_pos])
+                assert rel.values[pair] == value
+                assert table.occ_count[o] == rel.counts[pair]
+                np.testing.assert_array_equal(table.vectors[row], rel.vectors[pair])
+                seen.add((rel_pos, pair))
+        assert len(seen) == embs.total_vectors
+        # rows are numbered by first occurrence
+        np.testing.assert_array_equal(table.by_first_occurrence(), np.arange(len(table)))
 
     def test_empty_federation_rejected(self, encoder64):
         with pytest.raises(ConfigurationError):

@@ -25,7 +25,7 @@ from repro.datamodel.relation import Federation, Relation
 from repro.exec import ThreadBackend
 from repro.linalg.distances import Metric, cosine_similarity, normalize_rows
 from repro.linalg.topk import top_k_indices, top_k_indices_rowwise
-from repro.vectordb.collection import Collection, Point
+from repro.vectordb.collection import Collection
 from repro.vectordb.index import HNSWPQIndex
 from tests.test_exs_result_path import oracle_scores
 
@@ -176,10 +176,9 @@ class TestBatchedADC:
         l2_tables = pq.adc_l2_tables(queries)
         assert ip_tables.shape == (5, 4, 16)
         for q in range(5):
-            np.testing.assert_array_equal(
-                ip_tables[q], pq.adc_inner_product_table(queries[q])
-            )
-            np.testing.assert_array_equal(l2_tables[q], pq.adc_l2_table(queries[q]))
+            one_row = queries[q : q + 1]
+            np.testing.assert_array_equal(ip_tables[q], pq.adc_inner_product_tables(one_row)[0])
+            np.testing.assert_array_equal(l2_tables[q], pq.adc_l2_tables(one_row)[0])
 
     @pytest.mark.parametrize("shards", [1, 2, 5])
     def test_anns_batch_matches_sequential_after_deltas(self, shards):
@@ -254,17 +253,14 @@ class TestTopKRowwise:
 # -- collection: batch freshness + byte gauges ------------------------------
 
 
-def make_points(rng, n: int, dim: int = 16, offset: int = 0) -> list[Point]:
-    return [
-        Point(offset + i, rng.normal(size=dim), {"slot": offset + i})
-        for i in range(n)
-    ]
+def make_matrix(rng, n: int, dim: int = 16, dtype=np.float64) -> np.ndarray:
+    return rng.normal(size=(n, dim)).astype(dtype)
 
 
 class TestCollectionBatching:
     def test_stale_index_rebuilt_exactly_once_per_batch(self, rng, monkeypatch):
-        col = Collection("c", dim=16)
-        col.upsert(make_points(rng, 30))
+        matrix = make_matrix(rng, 30)
+        col = Collection("c", matrix)
         col.create_index("hnsw")
         builds = []
         original = col._index.build
@@ -274,7 +270,7 @@ class TestCollectionBatching:
             return original(vectors)
 
         monkeypatch.setattr(col._index, "build", counting_build)
-        col.upsert(make_points(rng, 10, offset=100))  # stales the index
+        col.reset(np.vstack([matrix, make_matrix(rng, 10)]))  # stales the index
         queries = rng.normal(size=(5, 16))
         col.search_rows(queries, k=3)
         assert builds == [40], "stale index must rebuild exactly once per batch"
@@ -282,8 +278,7 @@ class TestCollectionBatching:
         assert builds == [40], "fresh index must not rebuild again"
 
     def test_batch_matches_sequential_exact(self, rng):
-        col = Collection("c", dim=16, dtype=np.float64)
-        col.upsert(make_points(rng, 25))
+        col = Collection("c", make_matrix(rng, 25))
         queries = rng.normal(size=(4, 16))
         batched = col.search_rows(queries, k=5)
         for q, (rows, scores) in enumerate(batched):
@@ -294,22 +289,27 @@ class TestCollectionBatching:
             np.testing.assert_allclose(single_scores, scores, rtol=1e-12)
 
     def test_bytes_gauge_tracks_mutations(self, rng):
-        col = Collection("values", dim=16, dtype=np.float32)
+        # The gauge counts what the collection adds to its matrix: the
+        # cached norms and the index.
+        matrix = make_matrix(rng, 20, dtype=np.float32)
+        col = Collection("values", matrix)
         gauge = col.metrics.gauge("vectordb.values.bytes")
-        col.upsert(make_points(rng, 20))
-        after_upsert = gauge.value
-        assert after_upsert == col.nbytes
-        assert after_upsert >= 20 * 16 * 4
-        col.delete([0, 1, 2, 3])
-        assert gauge.value == col.nbytes < after_upsert
+        col.create_index("exact")
+        col.search_rows(matrix[:1], k=1)
+        after_search = gauge.value
+        assert after_search == col.nbytes == 20 * 4 + 20 * 16 * 4  # norms + exact index
+        col.reset(matrix[4:])
+        col.search_rows(matrix[:1], k=1)
+        assert gauge.value == col.nbytes < after_search
 
     def test_float32_store_halves_vector_bytes(self, rng):
-        pts = make_points(rng, 20)
-        small = Collection("a", dim=16, dtype=np.float32)
-        big = Collection("b", dim=16, dtype=np.float64)
-        small.upsert(pts)
-        big.upsert(pts)
-        assert big._vectors.nbytes == 2 * small._vectors.nbytes
+        matrix = make_matrix(rng, 20)
+        small = Collection("a", matrix.astype(np.float32))
+        big = Collection("b", matrix)
+        for col in (small, big):
+            col.search_rows(matrix[:1].astype(col.dtype), k=1)
+        assert big.vectors.nbytes == 2 * small.vectors.nbytes
+        assert big.nbytes == 2 * small.nbytes
 
 
 # -- engine memory + counter observability ----------------------------------
@@ -317,17 +317,24 @@ class TestCollectionBatching:
 
 class TestMemoryObservability:
     def test_float32_halves_engine_index_bytes(self):
-        """The ANNS values collection is stored in the engine dtype;
-        ExS centroids are float64 either way."""
+        """The value table is float32 whatever the engine dtype and is
+        counted once; a float64 ANNS keeps a float64 cast of its matrix,
+        and its norms and exact index double with the dtype."""
         fed = federation(range(6))
-        sizes = {}
+        sizes, anns_bytes = {}, {}
         for dtype in (np.float32, np.float64):
             engine = DiscoveryEngine(
                 dim=48, dtype=dtype, method_params={"anns": {"index_kind": "exact"}}
             ).index(fed)
-            engine.method("anns")  # only ANNS built: ratio is exact
-            sizes[np.dtype(dtype).name] = engine.metrics.gauge("engine.index_bytes").value
-        assert sizes["float64"] == 2 * sizes["float32"] > 0
+            anns = engine.method("anns")  # only ANNS built: the sums are exact
+            name = np.dtype(dtype).name
+            sizes[name] = engine.metrics.gauge("engine.index_bytes").value
+            anns_bytes[name] = anns.index_bytes()
+            table_bytes = engine.embeddings.table_nbytes
+            assert sizes[name] == table_bytes + anns_bytes[name]
+        vector_bytes = engine.embeddings.value_table().vectors.nbytes
+        assert anns_bytes["float64"] == 2 * anns_bytes["float32"] + 2 * vector_bytes > 0
+        assert sizes["float64"] - sizes["float32"] == anns_bytes["float64"] - anns_bytes["float32"]
 
     def test_exs_index_bytes_is_stacked_matrix(self):
         fed = federation(range(6))

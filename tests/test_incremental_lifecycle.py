@@ -11,8 +11,10 @@ the order the incremental store actually holds.
 
 from __future__ import annotations
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,35 @@ def assert_same_rankings(incremental: DiscoveryEngine, cold: DiscoveryEngine, me
             assert g == pytest.approx(w, abs=SCORE_TOL)
 
 
+def assert_table_matches_store(embeddings) -> None:
+    """The store's value table against a plain loop over its relations:
+    the live value set, bit-equal vectors, and each value's (relation,
+    attribute, count) occurrences in store order."""
+    expected: dict[str, list[tuple[str, str, int]]] = {}
+    vectors: dict[str, list[np.ndarray]] = {}
+    for rel in embeddings.relations:
+        for name, value, vector, count in zip(
+            rel.attr_names, rel.values, rel.vectors, rel.counts.tolist()
+        ):
+            expected.setdefault(value, []).append((rel.relation_id, name, count))
+            vectors.setdefault(value, []).append(vector)
+    table = embeddings.value_table()
+    assert len(table) == len(table.values) == len(expected)
+    assert set(table.values) == set(expected)
+    relations = embeddings.relations
+    for row, value in enumerate(table.values):
+        assert table.row_of[value] == row
+        got = []
+        for o in range(table.indptr[row], table.indptr[row + 1]):
+            r = int(table.occ_relation[o])
+            pair = int(table.occ_flat[o] - table.offsets[r])
+            rel = relations[r]
+            got.append((rel.relation_id, rel.attr_names[pair], int(table.occ_count[o])))
+        assert got == expected[value]
+        for vector in vectors[value]:
+            np.testing.assert_array_equal(table.vectors[row], vector.astype(np.float32))
+
+
 # -- hypothesis property: delta sequences == cold rebuild -----------------
 
 op_steps = st.lists(
@@ -101,8 +132,8 @@ op_steps = st.lists(
 
 
 @settings(max_examples=12, deadline=None)
-@given(steps=op_steps)
-def test_delta_sequences_match_cold_rebuild(steps):
+@given(steps=op_steps, anns_first=st.booleans())
+def test_delta_sequences_match_cold_rebuild(steps, anns_first):
     current: dict[int, Relation] = {i: make_relation(i) for i in range(4)}
     versions: dict[int, int] = {i: 0 for i in range(4)}
     engine = make_engine().index(
@@ -110,7 +141,12 @@ def test_delta_sequences_match_cold_rebuild(steps):
     )
     # Build before mutating: apply_delta only reaches *built* indexes.
     engine.method("exs")
-    engine.method("anns")
+    if anns_first:
+        engine.method("anns")
+    # Deltas patch the table; they never rebuild it.  Without ANNS the
+    # table stands in for one CTS built, and ANNS is built at the end
+    # over rows in patched order rather than first-occurrence order.
+    table = engine.embeddings.value_table()
 
     for op, slot in steps:
         # Normalize invalid draws instead of discarding the example.
@@ -132,6 +168,9 @@ def test_delta_sequences_match_cold_rebuild(steps):
         else:
             del current[slot]
             engine.remove_relations([qualified(slot)])
+        assert engine.embeddings.value_table() is table
+        assert_table_matches_store(engine.embeddings)
+    assert np.shares_memory(engine.method("anns")._values.vectors, table.vectors)
 
     # Cold rebuild in the store's final relation order.
     order = [int(rid.partition("/")[0][3:]) for rid in engine.embeddings.relation_ids()]
@@ -141,6 +180,62 @@ def test_delta_sequences_match_cold_rebuild(steps):
     assert engine.embeddings.generation == len(steps)
     assert_same_rankings(engine, cold, "exs")
     assert_same_rankings(engine, cold, "anns")
+
+
+class TestValueTable:
+    def test_one_delta_is_applied_whole(self):
+        # "x" is held by a only.  One update of (b, a) adds "x" to b and
+        # drops it from a.  Applied whole, the delta first drops a's and
+        # b's references, so "x" is compacted away and comes back as the
+        # last row; relation by relation, b would re-reference "x" before
+        # a let go of it, and "x" would keep row 0.
+        relations = [
+            Relation("a", ["Col"], [["x"], ["shared"]]),
+            Relation("b", ["Col"], [["b"]]),
+            Relation("c", ["Col"], [["shared"]]),
+        ]
+        engine = make_engine().index(Federation.from_relations(relations))
+        engine.method("anns")
+        table = engine.embeddings.value_table()
+        assert table.values == ["x", "shared", "Col", "b"]
+        engine.update_relations(
+            {
+                "b/b": Relation("b", ["Col"], [["b"], ["x"]]),
+                "a/a": Relation("a", ["Col"], [["shared"]]),
+            }
+        )
+        assert table.values == ["shared", "Col", "b", "x"]
+        assert_table_matches_store(engine.embeddings)
+        anns = engine.method("anns")._values
+        np.testing.assert_array_equal(anns.vectors, table.vectors)
+        result = engine.search("x", method="anns", k=3, h=-1.0)
+        assert result.relation_ids()[0] == "b/b"
+
+    def test_exs_only_engine_builds_no_table(self, tmp_path):
+        current = {i: make_relation(i) for i in range(4)}
+        engine = DiscoveryEngine(dim=48).index(
+            Federation.from_relations([current[i] for i in sorted(current)])
+        )
+        engine.search("league stadium", method="exs")
+        assert engine.embeddings.table_nbytes == 0
+        engine.add_relations({qualified(5): make_relation(5)})
+        engine.update_relations({qualified(1): make_relation(1, 1)})
+        engine.remove_relations([qualified(0)])
+        engine.search("league stadium", method="exs")
+        assert engine.embeddings.table_nbytes == 0
+        gauge = engine.metrics.gauge("engine.index_bytes").value
+        assert gauge == engine.method("exs").index_bytes()
+        engine.save_index(tmp_path / "snap")
+        for mmap in (False, True):
+            loaded = DiscoveryEngine(dim=48).load_index(tmp_path / "snap", mmap=mmap)
+            loaded.search("league stadium", method="exs")
+            store = loaded.embeddings
+            assert store.table_nbytes == 0
+            if mmap:
+                mapping = store.backing.array
+                assert all(np.shares_memory(r.vectors, mapping) for r in store.relations)
+            loaded.close()
+        engine.close()
 
 
 # -- CTS drift policy -----------------------------------------------------
@@ -317,6 +412,50 @@ class TestEngineLifecycle:
             for t in threads:
                 t.join()
         assert not errors
+
+    def test_concurrent_table_readers_never_torn(self, live_engine):
+        # ANNS and CTS read the value table on every query while deltas
+        # patch it under the writer side.  More readers than cores and a
+        # short switch interval make a torn read (a CSR over one
+        # relation list, rows over another) likely if the lock let one
+        # through.
+        engine, _ = live_engine
+        committed = [
+            {qualified(slot) for slot in slots}
+            for slots in ((0, 1, 2, 3), (0, 1, 2, 3, 5), (1, 2, 3, 5))
+        ]
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    for query in QUERIES:
+                        result = engine.search(query, method="anns", k=100, h=-1.0)
+                        assert set(result.relation_ids()) in committed
+                except BaseException as exc:  # noqa: BLE001 — surfaced below
+                    errors.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(5):
+                engine.add_relations({qualified(5): make_relation(5)})
+                engine.remove_relations([qualified(0)])
+                engine.add_relations({qualified(0): make_relation(0)})
+                engine.remove_relations([qualified(5)])
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for t in threads:
+                t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert_table_matches_store(engine.embeddings)
 
 
 # -- store-level lifecycle -------------------------------------------------

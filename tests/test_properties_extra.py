@@ -9,7 +9,6 @@ from repro.ann import ProductQuantizer
 from repro.clustering import SingleLinkageTree, condense_tree, mutual_reachability_mst
 from repro.data.synthesis import CorpusSynthesizer
 from repro.embedding import SemanticHashEncoder
-from repro.vectordb import Collection, Point
 
 
 class TestEncoderProperties:
@@ -75,34 +74,6 @@ class TestCondensedTreeProperties:
         point_children = sorted(int(c) for c in tree.child if c < n)
         assert point_children == list(range(n))
         assert int(tree.child_size[tree.child < n].sum()) == n
-
-
-class TestCollectionStateProperties:
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from("abcdefgh"), st.booleans()),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_upsert_delete_sequences_stay_consistent(self, operations):
-        """Arbitrary upsert/delete interleavings keep the id -> payload
-        mapping exact (regression guard for the row-mapping bug found
-        during development)."""
-        rng = np.random.default_rng(0)
-        collection = Collection("prop", dim=4)
-        expected: dict[str, int] = {}
-        for step, (point_id, is_delete) in enumerate(operations):
-            if is_delete:
-                collection.delete([point_id])
-                expected.pop(point_id, None)
-            else:
-                collection.upsert([Point(point_id, rng.standard_normal(4), {"step": step})])
-                expected[point_id] = step
-        assert len(collection) == len(expected)
-        for point_id, step in expected.items():
-            assert collection.get(point_id).payload == {"step": step}
 
 
 class TestGeneratorProperties:

@@ -249,14 +249,11 @@ class TestFusedKernelGuards:
 
 class TestCollectionGuards:
     def _collection(self, monkeypatch, dtype):
-        from repro.vectordb.collection import Collection, Point
+        from repro.vectordb.collection import Collection
 
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        col = Collection("guarded", dim=4, dtype=dtype)
-        col.upsert(
-            [Point(i, np.full(4, float(i + 1), dtype=dtype)) for i in range(3)]
-        )
-        return col
+        rows = [np.full(4, float(i + 1)) for i in range(3)]
+        return Collection("guarded", np.array(rows, dtype=dtype))
 
     def test_nan_query_block_is_caught(self, monkeypatch):
         col = self._collection(monkeypatch, np.float32)
@@ -276,10 +273,9 @@ class TestCollectionGuards:
         assert len(found) == 2 and len(found[0][0]) == 2
 
     def test_unarmed_collection_casts_silently(self, monkeypatch):
-        from repro.vectordb.collection import Collection, Point
+        from repro.vectordb.collection import Collection
 
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        col = Collection("plain", dim=4, dtype=np.float32)
-        col.upsert([Point(0, np.ones(4, dtype=np.float32))])
+        col = Collection("plain", np.ones((1, 4), dtype=np.float32))
         found = col.search_rows(np.ones((1, 4), dtype=np.float64), k=1)
         assert len(found[0][0]) == 1

@@ -1,72 +1,55 @@
-"""Tests for the vector collection: storage, upsert/delete and search_rows."""
+"""Tests for the vector collection: a search over a matrix it is given."""
 
 import numpy as np
 import pytest
 
-from repro.errors import DimensionMismatchError, PointNotFoundError
-from repro.vectordb import Collection, Point
+from repro.errors import CollectionError, DimensionMismatchError
+from repro.vectordb import Collection
 
 
 @pytest.fixture()
 def collection(rng):
-    col = Collection("test", dim=8)
-    points = [
-        Point(i, rng.standard_normal(8), {"group": "even" if i % 2 == 0 else "odd", "rank": i})
-        for i in range(50)
-    ]
-    col.upsert(points)
-    return col
+    return Collection("test", rng.standard_normal((50, 8)))
 
 
-def ids_of(collection, query, k):
-    """The ``rank`` payloads (the point ids) of one query's top-k rows."""
+def rows_of(collection, query, k):
+    """One query's top-k rows."""
     rows, _ = collection.search_rows(np.asarray(query)[np.newaxis, :], k)[0]
-    return [payload["rank"] for payload in collection.payloads_at(rows)]
+    return rows.tolist()
 
 
 class TestCollection:
     def test_len_and_contains(self, collection):
+        # Rows are the ids: a collection is as long as its matrix.
         assert len(collection) == 50
-        assert 7 in collection and 99 not in collection
-
-    def test_get_roundtrip(self, collection):
-        point = collection.get(3)
-        assert point.id == 3
-        assert point.payload["rank"] == 3
-
-    def test_get_missing(self, collection):
-        with pytest.raises(PointNotFoundError):
-            collection.get(999)
+        assert collection.dim == 8 and collection.dtype == np.float64
 
     def test_upsert_overwrites(self, collection, rng):
-        new_vec = rng.standard_normal(8)
-        collection.upsert([Point(3, new_vec, {"fresh": True})])
+        # reset() swaps the whole matrix; searches read the new one.
+        fresh = rng.standard_normal((50, 8))
+        collection.reset(fresh)
         assert len(collection) == 50
-        got = collection.get(3)
-        np.testing.assert_allclose(got.vector, new_vec)
-        assert got.payload == {"fresh": True}
+        np.testing.assert_array_equal(collection.vectors, fresh)
+        assert rows_of(collection, fresh[3], 1) == [3]
 
     def test_upsert_dim_mismatch(self, collection):
         with pytest.raises(DimensionMismatchError):
-            collection.upsert([Point(100, np.zeros(5))])
-
-    def test_delete(self, collection):
-        assert collection.delete([0, 1, 999]) == 2
-        assert len(collection) == 48
-        assert 0 not in collection
-        # remaining ids still resolvable
-        assert collection.get(2).id == 2
+            collection.reset(np.zeros((50, 5)))
+        with pytest.raises(CollectionError):
+            collection.reset(np.zeros((50, 8), dtype=np.float32))
+        with pytest.raises(CollectionError):
+            Collection("ints", np.zeros((3, 4), dtype=np.int64))
 
     def test_search_exact_top1(self, collection):
-        target = collection.get(10).vector
-        assert ids_of(collection, target, 1) == [10]
+        target = collection.vectors[10]
+        assert rows_of(collection, target, 1) == [10]
 
     def test_query_dim_check(self, collection):
         with pytest.raises(DimensionMismatchError):
             collection.search_rows(np.zeros((1, 3)), 1)
 
     def test_empty_collection_search(self):
-        found = Collection("empty", dim=4).search_rows(np.zeros((2, 4)), 3)
+        found = Collection("empty", np.zeros((0, 4))).search_rows(np.zeros((2, 4)), 3)
         assert [rows.tolist() for rows, _ in found] == [[], []]
 
     @pytest.mark.parametrize("kind", ["hnsw", "hnsw+pq", "exact"])
@@ -77,62 +60,49 @@ class TestCollection:
         if kind == "hnsw+pq":
             params.update(n_subvectors=4, n_centroids=16)
         collection.create_index(kind, **params)
-        target = collection.get(20).vector
-        assert 20 in ids_of(collection, target, 5)
+        target = collection.vectors[20]
+        assert 20 in rows_of(collection, target, 5)
 
     def test_index_refreshes_after_upsert(self, collection, rng):
+        # A reset that appends a row stales the index; the next search
+        # rebuilds it and finds the new row.
         collection.create_index("hnsw", m=4, ef_construction=20)
         fresh = rng.standard_normal(8)
-        collection.upsert([Point(777, fresh, {"rank": 777})])
-        assert ids_of(collection, fresh, 1) == [777]
+        collection.reset(np.vstack([collection.vectors, fresh]))
+        assert rows_of(collection, fresh, 1) == [50]
 
     def test_index_refreshes_after_delete(self, collection):
-        # Deletion marks the index stale; the next search must rebuild
-        # it and never resurrect the deleted point.
+        # A reset that drops a row stales the index; the next search
+        # must rebuild it and never resurrect the dropped row.
         collection.create_index("hnsw", m=4, ef_construction=20)
-        target = collection.get(20).vector
-        assert ids_of(collection, target, 1) == [20]
-        assert collection.delete([20]) == 1
-        ids = ids_of(collection, target, 5)
-        assert 20 not in ids
-        assert len(ids) == 5
+        target = collection.vectors[20].copy()
+        assert rows_of(collection, target, 1) == [20]
+        kept = np.delete(collection.vectors, 20, axis=0)
+        collection.reset(kept)
+        rows = rows_of(collection, target, 5)
+        assert len(rows) == 5
+        for row in rows:
+            assert not np.array_equal(kept[row], target)
 
     def test_vectors_view_readonly(self, collection):
         with pytest.raises(ValueError):
             collection.vectors[0, 0] = 1.0
 
+    def test_matrix_is_read_in_place(self, rng):
+        matrix = rng.standard_normal((6, 4)).astype(np.float32)
+        collection = Collection("shared", matrix)
+        assert np.shares_memory(collection.vectors, matrix)
+        assert collection.nbytes == 0  # norms and index come later
+        collection.search_rows(matrix[:1], k=2)
+        assert collection.nbytes == 6 * 4  # float32 norms, nothing else
+
 
 class TestRefusedUpsert:
-    """A refused upsert leaves the collection as it was; an id repeated
-    within one call keeps its last point."""
-
-    @staticmethod
-    def _one_point():
-        col = Collection("c", dim=4)
-        col.upsert([Point(1, np.ones(4), {"v": 1})])
-        return col
-
-    @staticmethod
-    def assert_untouched(col):
-        assert len(col) == 1 and 1 in col and 2 not in col
-        assert col.vectors.shape == (1, 4)
-        got = col.get(1)
-        np.testing.assert_array_equal(got.vector, np.ones(4))
-        assert got.payload == {"v": 1}
+    """A refused reset leaves the collection as it was."""
 
     def test_bad_dim_later_in_the_call_changes_nothing(self):
-        col = self._one_point()
+        col = Collection("c", np.ones((1, 4)))
         with pytest.raises(DimensionMismatchError):
-            col.upsert(
-                [Point(1, np.full(4, 2.0), {"v": 2}), Point(3, np.ones(4)), Point(2, np.ones(3))]
-            )
-        self.assert_untouched(col)
-        assert 3 not in col
-
-    def test_new_id_repeated_in_one_call_keeps_the_last_point(self):
-        col = self._one_point()
-        col.upsert([Point(2, np.full(4, 2.0), {"v": "a"}), Point(2, np.full(4, 3.0), {"v": "b"})])
-        assert len(col) == 2 and col.vectors.shape == (2, 4)
-        got = col.get(2)
-        np.testing.assert_array_equal(got.vector, np.full(4, 3.0))
-        assert got.payload == {"v": "b"}
+            col.reset(np.ones((3, 3)))
+        assert len(col) == 1 and col.vectors.shape == (1, 4)
+        np.testing.assert_array_equal(col.vectors, np.ones((1, 4)))
