@@ -35,7 +35,7 @@ def test_ablation_index_kind(benchmark, bench_corpus, bench_splits, searchers_by
             quality = evaluate_method(anns, qrels, k=BENCH_K).map
             latency = time_queries(anns, queries, k=20, warmup=1).mean_ms
             if label == "hnsw+pq":
-                compression = 128 * 8 / 8  # float64 dims vs uint8 codes
+                compression = 128 * 4 / 8  # float32 dims vs uint8 codes
             else:
                 compression = 1.0
             rows.append((label, quality, latency, compression))

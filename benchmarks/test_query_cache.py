@@ -28,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cache import SemanticResultCache
 from repro.core.engine import DiscoveryEngine
 from repro.datamodel.relation import Federation, Relation
 from repro.embedding.cache import CachingEncoder
@@ -147,7 +148,7 @@ def test_hit_rates_across_tau(cache_fed):
     workload = zipf_workload(N_REQUESTS)
     sweep = {}
     for tau in (0.95, 0.98, 1.0):
-        engine = make_engine(cache_fed, query_cache=f"tau={tau}")
+        engine = make_engine(cache_fed, query_cache=SemanticResultCache(tau=tau))
         base = dict(engine.metrics.snapshot()["counters"])  # warm-up traffic
         for query in workload:
             engine.search(query, method="exs", k=K)

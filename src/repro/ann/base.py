@@ -51,11 +51,6 @@ class VectorIndex(abc.ABC):
     cast to it before scoring.  Non-float builds promote to float64.
     """
 
-    #: Whether :meth:`search_rows` takes an ``ef`` beam width.  A class
-    #: fact, so a caller decides from the index's type once instead of
-    #: probing the call.
-    takes_ef: bool = False
-
     def __init__(self, metric: Metric = Metric.COSINE) -> None:
         self.metric = metric
         self._dim: int | None = None
@@ -88,8 +83,8 @@ class VectorIndex(abc.ABC):
     @abc.abstractmethod
     def search_rows(self, queries: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Nearest rows of each query in a ``(Q, dim)`` block as
-        ``(rows, scores)`` arrays, best first.  Indexes with
-        :attr:`takes_ef` also take an ``ef`` keyword."""
+        ``(rows, scores)`` arrays, best first.  :class:`HNSWIndex` also
+        takes an ``ef`` beam-width keyword."""
 
     def search(self, query: np.ndarray, k: int, **params: Any) -> list[SearchHit]:
         """Up to ``k`` nearest rows to one ``query``, best first, as

@@ -58,8 +58,6 @@ class HNSWIndex(VectorIndex):
         deterministic.
     """
 
-    takes_ef = True
-
     def __init__(
         self,
         metric: Metric = Metric.COSINE,

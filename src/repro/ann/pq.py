@@ -75,10 +75,6 @@ class ProductQuantizer:
         self.codebooks_ = codebooks
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        return self.codebooks_ is not None
-
     def _require_fitted(self) -> np.ndarray:
         if self.codebooks_ is None:
             raise NotFittedError("ProductQuantizer used before fit")

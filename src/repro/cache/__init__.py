@@ -9,7 +9,6 @@ the lifecycle layer's monotone ``generation`` counter, per method.
 """
 
 from repro.cache.result_cache import (
-    CACHE_ENV,
     CacheHit,
     CacheSignature,
     SemanticResultCache,
@@ -17,7 +16,6 @@ from repro.cache.result_cache import (
 )
 
 __all__ = [
-    "CACHE_ENV",
     "CacheHit",
     "CacheSignature",
     "SemanticResultCache",

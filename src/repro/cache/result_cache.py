@@ -47,7 +47,6 @@ Design
 from __future__ import annotations
 
 import itertools
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -61,17 +60,11 @@ from repro.obs import MetricsRegistry
 from repro.sanitize import lockset
 
 __all__ = [
-    "CACHE_ENV",
     "CacheHit",
     "CacheSignature",
     "SemanticResultCache",
     "resolve_query_cache",
 ]
-
-#: Environment variable consulted when ``DiscoveryEngine(query_cache=None)``:
-#: ``"0"``/unset disables, ``"1"`` enables defaults, and a knob string
-#: like ``"tau=0.95,capacity=1024,max_bytes=1048576"`` tunes the cache.
-CACHE_ENV = "REPRO_QUERY_CACHE"
 
 #: Default near-duplicate acceptance threshold.  ``tau=1.0`` is
 #: effectively exact-only: float32 roundoff keeps even an identical
@@ -203,10 +196,6 @@ class SemanticResultCache:
         """
         lockset.write(self, "_generations", policy="anylock")
         self._generations[method] = int(generation)
-
-    def current_generation(self, method: str) -> int | None:
-        """The last published generation for ``method``, if any."""
-        return self._generations.get(method)
 
     @requires_lock("write")
     def invalidate_all(self) -> None:
@@ -404,49 +393,25 @@ class SemanticResultCache:
         }
 
 
-def _parse_knobs(text: str) -> "dict[str, int | float]":
-    """Parse a ``"tau=0.95,capacity=1024"`` knob string."""
-    knobs: dict[str, int | float] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in ("tau", "capacity", "max_bytes"):
-            raise ConfigurationError(
-                f"bad {CACHE_ENV} knob {part!r}; expected tau=/capacity=/max_bytes= pairs"
-            )
-        try:
-            knobs[key] = float(value) if key == "tau" else int(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad {CACHE_ENV} knob value in {part!r}") from exc
-    return knobs
-
-
 def resolve_query_cache(
-    spec: "SemanticResultCache | bool | str | None",
+    spec: "SemanticResultCache | bool | None",
     metrics: MetricsRegistry | None = None,
 ) -> SemanticResultCache | None:
     """Resolve the engine's ``query_cache`` argument to an instance.
 
     ``spec`` may be a ready :class:`SemanticResultCache` (adopted as-is,
-    its registry rebound to ``metrics`` when given), a bool, a config
-    string, or ``None`` — which defers to the :data:`CACHE_ENV`
-    environment variable (absent/falsy: caching stays off).
+    its registry rebound to ``metrics`` when given), ``True`` for a
+    cache with default settings, or ``False``/``None`` for no cache.
+    Anything else raises :class:`~repro.errors.ConfigurationError`.
     """
     if isinstance(spec, SemanticResultCache):
         if metrics is not None:
             spec.metrics = metrics
         return spec
-    if spec is None:
-        spec = os.environ.get(CACHE_ENV, "")
-    if isinstance(spec, bool):
-        return SemanticResultCache(metrics=metrics) if spec else None
-    text = spec.strip().lower()
-    if text in ("", "0", "off", "false", "no", "none"):
+    if spec is None or spec is False:
         return None
-    if text in ("1", "on", "true", "yes", "default"):
+    if spec is True:
         return SemanticResultCache(metrics=metrics)
-    knobs = _parse_knobs(spec)
-    return SemanticResultCache(metrics=metrics, **knobs)  # type: ignore[arg-type]
+    raise ConfigurationError(
+        f"query_cache takes a SemanticResultCache, a bool or None, not {spec!r}"
+    )

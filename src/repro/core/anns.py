@@ -14,7 +14,6 @@ on focused queries (paper Sec 5.3) as well as in speed.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence
 from typing import Any
 
@@ -52,17 +51,15 @@ class ANNSearch(SearchMethod):
         their scores.
     n_subvectors / n_centroids:
         Product-quantization shape (ignored without PQ).
-    m / ef_construction / ef_search:
-        HNSW graph parameters (ignored for ``"exact"``).  On the
-        paper's ``"hnsw+pq"`` index neither ``ef_search`` nor the ``ef``
-        a query passes sets the beam.  A query passes
-        ``ef=int(1.5 * budget)`` and the collection fetches
-        ``int(1.5 * budget)`` candidates to re-score.
-        :class:`HNSWPQIndex` asks the graph for twice that many, and
-        the graph's beam is the larger of ``ef`` and the request.  So
-        the beam is ``2 * int(1.5 * budget)`` at every budget from 6 up
-        (768 at the default 256).  With plain ``"hnsw"`` the ``ef`` does
-        set it.
+    m / ef_construction:
+        HNSW graph parameters (ignored for ``"exact"``).  The query-time
+        beam is not a parameter: a query asks the collection for its
+        budget ``b``, the collection fetches ``fetch = max(b, int(1.5 *
+        b))`` candidates to re-score, and the beam is exactly what the
+        index is asked for.  That is ``fetch`` with plain ``"hnsw"``,
+        and ``max(2 * fetch, fetch + 8)`` with ``"hnsw+pq"``, whose
+        graph fetches twice the request for its ADC re-sort (768 at the
+        default budget of 256).
     evidence_size:
         The relation score is the average similarity of its
         ``evidence_size`` best retrieved vectors, counting missing
@@ -72,11 +69,8 @@ class ANNSearch(SearchMethod):
         fixed-size average keeps the paper's "average of the
         similarity scores of the vectors of the relation identified by
         ANN" while rewarding evidence breadth.
-    dtype:
-        Scan dtype of the values collection (float32 or float64).
-        float32, the value table's own dtype, searches the table's
-        matrix in place; float64, the compat mode, searches a float64
-        cast of it that ANNS keeps.
+    seed:
+        Seeds the graph's level sampling and the PQ codebooks.
     """
 
     name = "anns"
@@ -89,22 +83,18 @@ class ANNSearch(SearchMethod):
         n_centroids: int = 256,
         m: int = 16,
         ef_construction: int = 100,
-        ef_search: int = 64,
         evidence_size: int = 8,
         seed: int = 0,
-        dtype: "str | np.dtype[Any] | type" = np.float64,
     ) -> None:
         super().__init__()
         if n_candidates is not None and n_candidates < 1:
             raise ValueError("n_candidates must be >= 1 (or None for auto)")
         self.n_candidates = n_candidates
         self.index_kind = IndexKind(index_kind)
-        self.dtype = np.dtype(dtype)
         self.n_subvectors = n_subvectors
         self.n_centroids = n_centroids
         self.m = m
         self.ef_construction = ef_construction
-        self.ef_search = ef_search
         if evidence_size < 1:
             raise ValueError("evidence_size must be >= 1")
         self.evidence_size = evidence_size
@@ -118,20 +108,9 @@ class ANNSearch(SearchMethod):
         return self._values
 
     def index_bytes(self) -> int:
-        """Resident bytes ANNS owns: the index and the cached norms, plus
-        the float64 cast of the table's matrix when ANNS scans float64.
-        The table itself is the store's."""
-        if self._values is None:
-            return 0
-        owned = self._values.nbytes
-        if self._values.dtype != self.embeddings.value_table().vectors.dtype:
-            owned += self._values.vectors.nbytes
-        return owned
-
-    def _matrix(self) -> np.ndarray:
-        """The value table's matrix in the scan dtype: the table's own
-        array when the dtypes agree."""
-        return np.asarray(self.embeddings.value_table().vectors, dtype=self.dtype)
+        """Resident bytes ANNS owns: the index and the cached norms.
+        The table it searches is the store's."""
+        return self._values.nbytes if self._values is not None else 0
 
     def _index_params(self) -> dict[str, Any]:
         if self.index_kind is IndexKind.EXACT:
@@ -139,7 +118,6 @@ class ANNSearch(SearchMethod):
         params: dict[str, Any] = dict(
             m=self.m,
             ef_construction=self.ef_construction,
-            ef_search=self.ef_search,
             seed=self.seed,
         )
         if self.index_kind is IndexKind.HNSW_PQ:
@@ -160,7 +138,10 @@ class ANNSearch(SearchMethod):
         value is evidence for every relation that contains it.
         """
         self._values = Collection(
-            "values", self._matrix(), metric=Metric.COSINE, metrics=self.metrics
+            "values",
+            self.embeddings.value_table().vectors,
+            metric=Metric.COSINE,
+            metrics=self.metrics,
         )
         self._values.create_index(self.index_kind, **self._index_params())
 
@@ -171,9 +152,9 @@ class ANNSearch(SearchMethod):
         removed: list[str],
     ) -> None:
         """The store's value table has absorbed the delta: search its
-        new matrix.  The graph rebuilds lazily, at the next query."""
+        new matrix.  The graph rebuilds lazily, once, at the next query."""
         del added, updated, removed
-        self._collection().reset(self._matrix())
+        self._collection().reset(self.embeddings.value_table().vectors)
 
     def candidate_budget(self, n_relations: int) -> int:
         """The retrieval budget for a corpus of ``n_relations``:
@@ -207,13 +188,13 @@ class ANNSearch(SearchMethod):
         """Each query's ``budget`` nearest value points as ``(rows,
         scores)`` arrays over the values collection."""
         collection = self._collection()
-        # Match the collection's storage dtype before the scan: the
+        # Match the collection's float32 storage before the scan: the
         # encoder emits float64, and shipping that into a float32
         # collection is exactly the silent promotion the sanitizer
         # rejects (found by the REPRO_SANITIZE CI shard).
         query_block = np.ascontiguousarray(query_block, dtype=collection.dtype)
         with self.metrics.timer(f"{self.name}.scan"):
-            return collection.search_rows(query_block, k=budget, ef=int(1.5 * budget))
+            return collection.search_rows(query_block, k=budget)
 
     def _score_all(self, query: str) -> list[RelationMatch]:
         """Step 2: approximate KNN, then group scores by relation."""
@@ -251,15 +232,9 @@ class ANNSearch(SearchMethod):
             owners, scores[which], table.occ_count[occ], self.evidence_size
         )
         relations = self.embeddings.relations
-        pair_rows = table.occ_flat[occ] - table.offsets[owners]
-        attributes: dict[int, set[str]] = defaultdict(set)
-        for owner, pair in zip(owners.tolist(), pair_rows.tolist()):
-            attributes[owner].add(relations[owner].attr_names[pair])
         return [
             RelationMatch(
-                relation_id=relations[owner].relation_id,
-                score=score,
-                details={"n_hits": hits, "attributes": sorted(attributes[owner])},
+                relation_id=relations[owner].relation_id, score=score, details={"n_hits": hits}
             )
             for owner, score, hits in zip(
                 ranked.tolist(), relation_scores.tolist(), n_hits.tolist()

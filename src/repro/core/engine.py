@@ -85,14 +85,6 @@ class DiscoveryEngine:
     method_params:
         Per-method constructor overrides, e.g.
         ``{"cts": {"top_clusters": 3}, "anns": {"n_candidates": 64}}``.
-    dtype:
-        The precision ExS quantises queries to and the storage dtype of
-        the ANNS values collection, and nothing else.  The default
-        float32 matches the encoder's native precision and halves the
-        collection's memory; pass ``numpy.float64`` for the historical
-        upcast-everything compat mode.  ExS centroids and CTS's
-        reduction/clustering pipeline stay float64 in both modes.
-        Per-method ``method_params`` overrides win over this knob.
     shards:
         Accepted for compatibility and validated (``>= 1``), but it no
         longer changes the execution plan: every method answers from
@@ -124,9 +116,13 @@ class DiscoveryEngine:
         plus near-duplicate embedding hits (cosine >= tau), invalidated
         precisely by the store's generation counter.  Pass a ready
         instance (its metrics rebind to this engine's registry), ``True``
-        / a config string (``"tau=0.95,capacity=1024"``), or ``None`` to
-        defer to the ``REPRO_QUERY_CACHE`` environment variable
-        (default: off).
+        for one with default settings, or ``False``/``None`` (the
+        default) for no cache.
+
+    Scans and snapshots are float32, the encoder's native precision:
+    ExS quantises queries to it (its centroids are float64), ANNS
+    searches the store's float32 value table in place, and CTS reduces
+    and clusters in float64.
 
     Example
     -------
@@ -147,10 +143,9 @@ class DiscoveryEngine:
         dim: int = 768,
         method_params: dict[str, dict[str, Any]] | None = None,
         shards: int = 1,
-        dtype: "str | np.dtype | type" = np.float32,
         executor: "ExecutionBackend | str | None" = None,
         sanitize: bool | None = None,
-        query_cache: "SemanticResultCache | bool | str | None" = None,
+        query_cache: "SemanticResultCache | bool | None" = None,
     ) -> None:
         #: Shared observability registry: every method and its vector-db
         #: collections record counters and per-stage latencies here.
@@ -159,9 +154,6 @@ class DiscoveryEngine:
             encoder = CachingEncoder(SemanticHashEncoder(dim=dim), metrics=self.metrics)
         self.encoder = encoder
         self.method_params = dict(method_params or {})
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ConfigurationError("dtype must be float32 or float64")
         unknown = set(self.method_params) - set(self.METHODS)
         if unknown:
             raise ConfigurationError(f"unknown methods in method_params: {sorted(unknown)}")
@@ -174,7 +166,7 @@ class DiscoveryEngine:
         from repro.cache import resolve_query_cache
 
         #: Semantic query-result cache above the methods; ``None`` when
-        #: caching is off (the default — ``REPRO_QUERY_CACHE`` opts in).
+        #: caching is off (the default).
         self.query_cache = resolve_query_cache(query_cache, metrics=self.metrics)
         #: Idle backend kept for :attr:`executor`; ``exec.*`` metrics land
         #: in the shared registry.  Owned iff the engine resolved it
@@ -246,44 +238,28 @@ class DiscoveryEngine:
     def is_indexed(self) -> bool:
         return self._embeddings is not None
 
-    def save_index(self, path: str | Path) -> None:
-        """Persist the federation embeddings as a segment snapshot (not
-        the method indexes, which rebuild quickly relative to
-        re-embedding).
+    @property
+    def dtype(self) -> np.dtype:
+        """The scan and snapshot dtype: always float32."""
+        return np.dtype(np.float32)
 
-        Vectors are stored in this engine's scan ``dtype``, so a mapped
-        reload serves the exact bytes a cold build would compute.
+    def save_index(self, path: str | Path) -> None:
+        """Persist the federation embeddings as a float32 segment
+        snapshot (not the method indexes, which rebuild quickly relative
+        to re-embedding), so a mapped reload serves the exact bytes a
+        cold build would compute.
         """
         with self._lifecycle_lock.read():
-            save_federation_embeddings(
-                self.embeddings, Path(path), dtype=self.dtype, metrics=self.metrics
-            )
-
-    def _check_snapshot_dtype(self, meta: "dict[str, Any]", path: Path) -> None:
-        """A snapshot's stored dtype must match this engine's scan dtype.
-
-        Silently accepting a mismatch would either upcast every mapped
-        byte (losing the zero-copy load) or serve float32 ranks from an
-        engine promising float64 — both wrong quietly.
-        """
-        stored = meta.get("dtype")
-        if stored is not None and np.dtype(stored) != self.dtype:
-            raise ConfigurationError(
-                f"snapshot at {path} stores {np.dtype(stored).name} vectors but "
-                f"this engine is configured with dtype={self.dtype.name}; "
-                f"construct DiscoveryEngine(dtype={np.dtype(stored).name!r}) or "
-                "re-save the index from an engine with the desired dtype"
-            )
+            save_federation_embeddings(self.embeddings, Path(path), metrics=self.metrics)
 
     def load_index(self, path: str | Path, mmap: bool = False) -> "DiscoveryEngine":
         """Restore embeddings saved by :meth:`save_index`.
 
         The engine must be configured with the same encoder settings
         that built the saved embeddings; a snapshot whose embedding
-        dimensionality — or stored ``dtype`` — disagrees with this
-        engine is rejected with a :class:`ConfigurationError` here
-        rather than surfacing later as a shape error (or silent
-        precision change) deep inside a scan kernel.
+        dimensionality disagrees with this engine is rejected with a
+        :class:`ConfigurationError` here rather than surfacing later as
+        a shape error deep inside a scan kernel.
 
         ``mmap=True`` maps the vector segments read-only instead of
         materializing them: the call returns in milliseconds with the
@@ -291,27 +267,20 @@ class DiscoveryEngine:
         lazily on first access.  Rankings and scores are identical to
         an eager load.  A path that is not a current segment snapshot
         raises :class:`~repro.errors.StorageError`; one saved in a
-        retired layout converts with ``python -m repro.storage migrate``.
+        retired layout, or with float64 vectors, converts with
+        ``python -m repro.storage migrate``.
         """
-        path = Path(path)
-        snapshot = open_snapshot(path, metrics=self.metrics)
-        self._check_snapshot_dtype(snapshot.meta, path)
+        snapshot = open_snapshot(Path(path), metrics=self.metrics)
         loaded = embeddings_from_snapshot(snapshot, self.encoder, mmap=mmap)
         # Same writer-side swap as index(): loading is a store mutation.
         self._swap_store(loaded)
         return self
 
     def _make_method(self, name: str) -> SearchMethod:
-        params = self.method_params.get(name, {})
-        if name == "exs":
-            return ExhaustiveSearch(**{"dtype": self.dtype, **params})
-        if name == "anns":
-            return ANNSearch(**{"dtype": self.dtype, **params})
-        if name == "cts":
-            return ClusteredTargetedSearch(**params)
-        raise ConfigurationError(
-            f"unknown method {name!r}; expected one of {self.METHODS}"
-        )
+        classes = {"exs": ExhaustiveSearch, "anns": ANNSearch, "cts": ClusteredTargetedSearch}
+        if name not in classes:
+            raise ConfigurationError(f"unknown method {name!r}; expected one of {self.METHODS}")
+        return classes[name](**self.method_params.get(name, {}))
 
     def method(self, name: str) -> SearchMethod:
         """Get (building if needed) a search method's index."""
@@ -342,12 +311,6 @@ class DiscoveryEngine:
         if self._embeddings is not None:
             total += self._embeddings.table_nbytes
         self.metrics.gauge("engine.index_bytes").set(float(total))
-
-    def build_all(self) -> "DiscoveryEngine":
-        """Eagerly build every method's index (used before timing runs)."""
-        for name in self.METHODS:
-            self.method(name)
-        return self
 
     # -- execution & teardown ----------------------------------------------
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -66,21 +65,14 @@ class ScanSpec:
 class ExhaustiveSearch(SearchMethod):
     """Brute-force value-level semantic matching.
 
-    Parameters
-    ----------
-    dtype:
-        The precision queries are quantised to before scoring (float32,
-        the encoder's native precision, or float64).  Centroids are
-        float64 in both modes.
+    It takes no parameters.  Queries are quantised to float32, the
+    encoder's native precision, before scoring; centroids are float64.
     """
 
     name = "exs"
 
-    def __init__(self, dtype: "str | np.dtype[Any] | type" = np.float32):
+    def __init__(self) -> None:
         super().__init__()
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError("dtype must be float32 or float64")
         self._matrix: np.ndarray | None = None
         self._max_norm = 0.0
         self._block_ids: list[str] = []
@@ -185,10 +177,10 @@ class ExhaustiveSearch(SearchMethod):
     # -- the scan --------------------------------------------------------------
 
     def _encode_block(self, queries: Sequence[str]) -> np.ndarray:
-        """The ``(Q, d)`` encoded query vectors, quantised to ``dtype``."""
+        """The ``(Q, d)`` encoded query vectors, quantised to float32."""
         with self.metrics.timer(f"{self.name}.encode"):
             block = np.stack([self.embeddings.encode_query(q) for q in queries])
-        return block.astype(self.dtype, copy=False)
+        return block.astype(np.float32, copy=False)
 
     def _scan(
         self, query_block: np.ndarray, k: int, h: float
@@ -204,7 +196,7 @@ class ExhaustiveSearch(SearchMethod):
             if self.sanitize:
                 where = f"{self.name}._scan"
                 guard_operands(self._matrix, where=where, expect_dtype=np.dtype(np.float64))
-                guard_operands(query_block, where=where, expect_dtype=self.dtype)
+                guard_operands(query_block, where=where, expect_dtype=np.dtype(np.float32))
             query_idx, row_idx = gemm_candidates(self._matrix, query_block, k, h, self._max_norm)
             present = np.zeros(self._matrix.shape[0], dtype=bool)
             present[row_idx] = True

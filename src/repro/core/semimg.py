@@ -448,7 +448,6 @@ SNAPSHOT_KIND = "federation-embeddings"
 def save_federation_embeddings(
     embeddings: FederationEmbeddings,
     path: "str | Path",
-    dtype: "str | np.dtype | type | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> None:
     """Persist federation embeddings as one segment snapshot directory.
@@ -459,19 +458,18 @@ def save_federation_embeddings(
     vectors stay in the same space.
 
     Layout: one ``vectors`` segment holding *all* relations' unit
-    vectors stacked (in ``dtype``, default the embeddings' native
-    float32 — an engine passes its scan dtype so a mapped load serves
-    the exact bytes a cold build would compute), ``counts`` and
+    vectors stacked in float32 (the embeddings' native precision and
+    the scan dtype, so a mapped load serves the exact bytes a cold
+    build would compute), ``counts`` and
     ``block_sizes`` side arrays, the float64 ``centroids`` ExS-mean
     scans (so a load need not touch every value vector to serve it),
     and a ``relations`` JSON document with ids, cell values and
     attribute names.  The stacked layout is what makes ``mmap=True``
     loads zero-copy: every relation's vectors view the mapped file.
     """
-    target = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
     relations = embeddings.relations
     dim = embeddings.dim  # an empty store raises here
-    stack = np.vstack([r.vectors for r in relations]).astype(target, copy=False)
+    stack = np.vstack([r.vectors for r in relations]).astype(np.float32, copy=False)
     counts = np.concatenate([r.counts for r in relations]).astype(np.int64, copy=False)
     writer = SegmentWriter(
         path,
@@ -479,7 +477,7 @@ def save_federation_embeddings(
         meta={
             "kind": SNAPSHOT_KIND,
             "dim": int(dim),
-            "dtype": target.name,
+            "dtype": stack.dtype.name,
             "n_relations": len(relations),
             "build_seconds": float(embeddings.build_seconds),
         },
@@ -507,15 +505,22 @@ def embeddings_from_snapshot(
 ) -> FederationEmbeddings:
     """The store an open snapshot holds (see :func:`load_federation_embeddings`).
 
-    Only a ``federation-embeddings`` snapshot that holds relations and
-    their ``centroids`` loads.  Every array's shape is checked
-    before the store exists; a refusal closes the mapped vectors.
+    Only a ``federation-embeddings`` snapshot that holds float32
+    vectors, relations and their ``centroids`` loads.  Every array's
+    shape is checked before the store exists; a refusal closes the
+    mapped vectors.
     """
     meta = snapshot.meta
     if meta.get("kind") != SNAPSHOT_KIND:
         raise StorageError(
             f"snapshot at {snapshot.path} is a {meta.get('kind')!r} snapshot, "
             f"not {SNAPSHOT_KIND!r}; {MIGRATE_HINT}"
+        )
+    stored = np.dtype(meta.get("dtype", np.float32))
+    if stored != np.float32:
+        raise StorageError(
+            f"snapshot at {snapshot.path} stores {stored.name} vectors, not float32; "
+            f"{MIGRATE_HINT}"
         )
     dim = int(meta["dim"])
     if dim != encoder.dim:

@@ -5,11 +5,12 @@ The load path reads one layout, a ``federation-embeddings`` snapshot
 that carries ``centroids``.  This module is the only reader of the three
 older ones: a single-file ``.npz`` archive; a ``sharded-index`` root
 over ``shard-<i>/`` sub-snapshots, as engines with ``shards > 1`` saved
-it; and a snapshot saved before the ``centroids`` segment existed.  The
-input is read eagerly (digests verified) and checked before anything is
-written; :func:`~repro.core.semimg.save_federation_embeddings` writes it
-at the stored dtype, generation and build time into a hidden sibling,
-renamed to ``DST`` only when complete.
+it; a snapshot saved before the ``centroids`` segment existed; and a
+snapshot of float64 vectors.  The input is read eagerly (digests
+verified) and checked before anything is written;
+:func:`~repro.core.semimg.save_federation_embeddings` writes it as
+float32, at the stored generation and build time, into a hidden
+sibling, renamed to ``DST`` only when complete.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _relation(
     )
 
 
-def _read_npz(path: Path) -> tuple[list[RelationEmbedding], int, float, np.dtype]:
+def _read_npz(path: Path) -> tuple[list[RelationEmbedding], int, float]:
     with np.load(path, allow_pickle=False) as archive:
         data = {name: archive[name] for name in archive.files}
     relations = [
@@ -60,8 +61,7 @@ def _read_npz(path: Path) -> tuple[list[RelationEmbedding], int, float, np.dtype
     # The first archives predate these two fields.
     generation = int(data["generation"][0]) if "generation" in data else 0
     build_seconds = float(data["build_seconds"][0]) if "build_seconds" in data else 0.0
-    dtype = relations[0].vectors.dtype if relations else np.dtype(np.float32)
-    return relations, generation, build_seconds, dtype
+    return relations, generation, build_seconds
 
 
 def _read_segments(snapshot: SegmentSnapshot) -> list[RelationEmbedding]:
@@ -102,14 +102,13 @@ def _read_sharded(root: SegmentSnapshot) -> tuple[list[RelationEmbedding], float
     return [by_id[rid] for rid in order], build_seconds
 
 
-def _read_store(path: "str | Path") -> tuple[FederationEmbeddings, np.dtype]:
-    """The store a snapshot in any layout holds, and its stored dtype.
-    Anything unreadable or inconsistent raises
-    :class:`~repro.errors.StorageError`."""
+def _read_store(path: "str | Path") -> FederationEmbeddings:
+    """The store a snapshot in any layout holds.  Anything unreadable or
+    inconsistent raises :class:`~repro.errors.StorageError`."""
     path = Path(path)
     try:
         if path.is_file():
-            relations, generation, build_seconds, dtype = _read_npz(path)
+            relations, generation, build_seconds = _read_npz(path)
         else:
             snapshot = open_snapshot(path)
             kind = snapshot.meta.get("kind")
@@ -121,7 +120,6 @@ def _read_store(path: "str | Path") -> tuple[FederationEmbeddings, np.dtype]:
             else:
                 raise StorageError(f"{path} holds a {kind!r} snapshot, not federation embeddings")
             generation = snapshot.generation
-            dtype = np.dtype(snapshot.meta.get("dtype", np.float32))
     except (KeyError, IndexError, TypeError, ValueError, OSError, zipfile.BadZipFile) as exc:
         raise StorageError(f"cannot read {path} as a federation snapshot: {exc!r}") from exc
     if not relations:
@@ -132,13 +130,12 @@ def _read_store(path: "str | Path") -> tuple[FederationEmbeddings, np.dtype]:
         if rel.vectors.shape[1:] != (dim,) or rel.counts.ndim != 1 or len(rows) != 1:
             raise StorageError(f"relation {rel.relation_id!r} of {path} is inconsistent")
     # The encoder is not stored; any encoder of the stored dim stands in.
-    store = FederationEmbeddings(
+    return FederationEmbeddings(
         relations=relations,
         encoder=SemanticHashEncoder(dim=dim),
         build_seconds=build_seconds,
         generation=generation,
     )
-    return store, dtype
 
 
 def migrate(src: "str | Path", dst: "str | Path") -> Path:
@@ -147,11 +144,11 @@ def migrate(src: "str | Path", dst: "str | Path") -> Path:
     dst = Path(dst)
     if dst.exists():
         raise StorageError(f"{dst} already exists; migrate writes a new snapshot directory")
-    store, dtype = _read_store(src)
+    store = _read_store(src)
     staging = dst.with_name(f".{dst.name}.migrating")
     shutil.rmtree(staging, ignore_errors=True)
     try:
-        save_federation_embeddings(store, staging, dtype=dtype)
+        save_federation_embeddings(store, staging)
         staging.rename(dst)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)

@@ -8,6 +8,9 @@ matrix.  Rows are the ids; what a row stands for is the caller's.
 
 from __future__ import annotations
 
+import threading
+from typing import Any
+
 import numpy as np
 
 from repro.ann.base import VectorIndex
@@ -24,6 +27,10 @@ __all__ = ["Collection"]
 class Collection:
     """Exact and ANN search over a ``(n, dim)`` float32 or float64
     matrix, which the collection reads and never copies or writes.
+
+    After :meth:`reset` the attached index is rebuilt at the next
+    search, once: readers that arrive together wait for one builder,
+    which publishes a new, complete index.
 
     Parameters
     ----------
@@ -59,7 +66,10 @@ class Collection:
         self.dtype = vectors.dtype
         self._vectors = vectors
         self._index: VectorIndex | None = None
+        self._index_spec: tuple[IndexKind, dict[str, Any]] | None = None
         self._index_stale = False
+        # Serializes the lazy rebuild between the engine's readers.
+        self._rebuild_lock = threading.Lock()
         # Cached row norms make cosine exact search a bare GEMM (no
         # per-query O(n·d) normalization pass over the store).
         self._norms = np.empty(0, dtype=self.dtype)
@@ -120,26 +130,37 @@ class Collection:
 
     # -- indexing ---------------------------------------------------------
 
-    def create_index(self, kind: IndexKind | str = IndexKind.HNSW, **params) -> None:
+    def create_index(self, kind: IndexKind | str = IndexKind.HNSW, **params: Any) -> None:
         """Attach and build an ANN index over current contents."""
-        self._index = make_index(kind, self.metric, **params)
-        if len(self) > 0:
-            self._index.build(self._vectors)
-        self._index_stale = False
-        self._publish_bytes()
+        self._index_spec = (IndexKind(kind), params)
+        self._index_stale = True
+        self._fresh_index()
 
-    def _ensure_index_fresh(self) -> None:
-        if self._index is not None and self._index_stale:
-            if len(self) > 0:
-                self._index.build(self._vectors)
-            self._index_stale = False
-            self._publish_bytes()
+    def _fresh_index(self) -> VectorIndex:
+        """The attached index, first rebuilt if a reset left it stale.
+
+        The first reader to find it stale builds a new index under the
+        lock and publishes it only when complete; readers arriving
+        meanwhile wait and then search that one.  Resets happen under
+        the engine's writer lock, so no search overlaps one.
+        """
+        if self._index_stale:
+            with self._rebuild_lock:
+                if self._index_stale:
+                    assert self._index_spec is not None
+                    kind, params = self._index_spec
+                    index = make_index(kind, self.metric, **params)
+                    if len(self) > 0:
+                        index.build(self._vectors)
+                    self._index = index
+                    self._index_stale = False
+                    self._publish_bytes()
+        assert self._index is not None
+        return self._index
 
     # -- search ------------------------------------------------------------
 
-    def search_rows(
-        self, queries: np.ndarray, k: int, ef: int | None = None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def search_rows(self, queries: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Top-k ``(rows, scores)`` arrays for each row of a ``(Q, dim)``
         query block, best first; rows index :attr:`vectors`, scores keep
         the dtype their kernel produced.
@@ -151,9 +172,6 @@ class Collection:
         those against the stored full-precision vectors and re-sort
         them: the two-stage "ADC then refine" pipeline, so a lossy
         (PQ-compressed) index never decides a score.
-
-        ``ef`` reaches only indexes that take a beam width
-        (:attr:`VectorIndex.takes_ef`).
         """
         if self.sanitize:
             # repro-lint: disable=RL003 -- inspects the caller's dtype; casting here would hide the mismatch
@@ -181,7 +199,7 @@ class Collection:
         with self.metrics.timer("vectordb.scan"):
             if self._index is None:
                 return self._search_exact(queries, k)
-            return self._search_indexed(queries, k, ef)
+            return self._search_indexed(queries, k)
 
     def _exact_scores(
         self, queries: np.ndarray, rows_arr: np.ndarray | None = None
@@ -206,20 +224,12 @@ class Collection:
         best = top_k_indices_rowwise(scores, k)
         return [(best[q], scores[q, best[q]]) for q in range(scores.shape[0])]
 
-    def _search_indexed(
-        self, queries: np.ndarray, k: int, ef: int | None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The index's candidates per query, re-scored exactly.  Whether
-        the index takes ``ef`` is read from its type, so a ``TypeError``
-        raised inside a search propagates instead of triggering a retry."""
-        assert self._index is not None
-        self._ensure_index_fresh()
+    def _search_indexed(self, queries: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The index's candidates per query, re-scored exactly."""
+        index = self._fresh_index()
         self.metrics.counter("vectordb.index_probes").inc(queries.shape[0])
         fetch = max(k, int(1.5 * k))  # headroom for re-sorting
-        if ef is not None and self._index.takes_ef:
-            found = self._index.search_rows(queries, fetch, ef=ef)
-        else:
-            found = self._index.search_rows(queries, fetch)
+        found = index.search_rows(queries, fetch)
         out: list[tuple[np.ndarray, np.ndarray]] = []
         for query, (rows, scores) in zip(queries, found):
             if rows.shape[0]:

@@ -6,7 +6,8 @@
 navigated with an HNSW graph.  The graph is built over
 the PQ *reconstructions* (so graph topology reflects what the
 compressed representation can distinguish) and query scores come from
-ADC lookup tables over the stored codes.
+ADC lookup tables over the stored codes.  A collection's graph has no
+beam parameter: its beam is exactly the number of candidates asked for.
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ class IndexKind(str, enum.Enum):
 class HNSWPQIndex(VectorIndex):
     """HNSW navigation over PQ-compressed vectors with ADC scoring."""
 
-    takes_ef = True
-
     def __init__(
         self,
         metric: Metric = Metric.COSINE,
         m: int = 16,
         ef_construction: int = 100,
-        ef_search: int = 64,
         n_subvectors: int = 8,
         n_centroids: int = 256,
         seed: int = 0,
@@ -50,8 +48,7 @@ class HNSWPQIndex(VectorIndex):
         super().__init__(metric)
         self.quantizer = ProductQuantizer(n_subvectors, n_centroids, seed=seed)
         self._graph = HNSWIndex(
-            metric=metric, m=m, ef_construction=ef_construction,
-            ef_search=ef_search, seed=seed,
+            metric=metric, m=m, ef_construction=ef_construction, ef_search=1, seed=seed
         )
         self._codes = np.empty((0, n_subvectors), dtype=np.uint8)
 
@@ -78,13 +75,11 @@ class HNSWPQIndex(VectorIndex):
         self._graph.build(reconstructed)
         return self
 
-    def search_rows(
-        self, queries: np.ndarray, k: int, ef: int | None = None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def search_rows(self, queries: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Graph traversal per query, ADC re-sort batched.
 
-        The graph is asked for ``max(2k, k + 8)`` candidates, with beam
-        ``max(ef, that)``.  The ``(Q, m, k)`` ADC lookup tables for the
+        The graph is asked for ``max(2k, k + 8)`` candidates, which is
+        also its beam.  The ``(Q, m, k)`` ADC lookup tables for the
         whole block are built with one einsum up front; each query's
         candidate rows are then re-scored from its own table slice and
         stable-sorted, best first.
@@ -99,7 +94,7 @@ class HNSWPQIndex(VectorIndex):
             tables = self.quantizer.adc_inner_product_tables(queries)
         out: list[tuple[np.ndarray, np.ndarray]] = []
         for q in range(queries.shape[0]):
-            ids, _ = self._graph.search_rows(queries[q], fetch, ef=ef)[0]
+            ids, _ = self._graph.search_rows(queries[q], fetch)[0]
             scores = self.quantizer.adc_scores(tables[q], self._codes[ids])
             if self.metric is Metric.EUCLIDEAN:
                 scores = -np.sqrt(np.clip(scores, 0, None))
@@ -112,11 +107,12 @@ def make_index(kind: IndexKind | str, metric: Metric, **params) -> VectorIndex:
     """Factory for collection indexes.
 
     ``params`` are forwarded to the chosen index constructor, so callers
-    can tune ``m``/``ef_search``/``n_subvectors`` etc. per collection.
+    can tune ``m``/``ef_construction``/``n_subvectors`` etc. per
+    collection.  ``ef_search=1`` makes a graph's beam ``max(1, k)``.
     """
     kind = IndexKind(kind)
     if kind is IndexKind.EXACT:
         return BruteForceIndex(metric=metric)
     if kind is IndexKind.HNSW:
-        return HNSWIndex(metric=metric, **params)
+        return HNSWIndex(metric=metric, ef_search=1, **params)
     return HNSWPQIndex(metric=metric, **params)

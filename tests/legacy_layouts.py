@@ -9,7 +9,9 @@ library used to put on disk:
 * :func:`save_sharded` — a ``sharded-index`` root manifest over
   ``shard-<i>/`` federation-embeddings snapshots;
 * :func:`save_without_centroids` — a federation-embeddings snapshot from
-  before the ``centroids`` segment existed.
+  before the ``centroids`` segment existed;
+* :func:`save_float64` — a federation-embeddings snapshot of float64
+  vectors, as engines built with ``dtype=float64`` saved it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def save_sharded(
         for shard in range(shards)
     ]
     for shard, part in enumerate(parts):
-        save_federation_embeddings(part, path / f"shard-{shard}", dtype=dtype)
+        _save(part, path / f"shard-{shard}", dtype)
     SegmentWriter(
         path,
         generation=store.generation,
@@ -83,11 +85,30 @@ def save_without_centroids(
     store: FederationEmbeddings, path: Path, dtype: type = np.float32
 ) -> None:
     """A current snapshot, recommitted without its ``centroids`` segment."""
-    save_federation_embeddings(store, path, dtype=dtype)
+    _save(store, path, dtype, centroids=False)
+
+
+def save_float64(store: FederationEmbeddings, path: Path) -> None:
+    """A current snapshot, recommitted with float64 vectors."""
+    _save(store, path, np.float64)
+
+
+def _save(
+    store: FederationEmbeddings, path: Path, dtype: type, centroids: bool = True
+) -> None:
+    """A current snapshot, recommitted with its vectors at ``dtype`` and,
+    unless ``centroids``, without its ``centroids`` segment."""
+    save_federation_embeddings(store, path)
     snapshot = open_snapshot(path)
-    writer = SegmentWriter(path, generation=snapshot.generation, meta=snapshot.meta)
+    if np.dtype(dtype) == np.float32 and centroids:
+        return
+    meta = {**snapshot.meta, "dtype": np.dtype(dtype).name}
+    writer = SegmentWriter(path, generation=snapshot.generation, meta=meta)
     for name in snapshot.segment_names():
-        if name != "centroids":
-            writer.add_array(name, snapshot.array(name))
+        array = snapshot.array(name)
+        if name == "vectors":
+            writer.add_array(name, array.astype(dtype))
+        elif name != "centroids" or centroids:
+            writer.add_array(name, array)
     writer.add_json("relations", snapshot.json("relations"))
     writer.commit()

@@ -18,6 +18,7 @@ kernel: exact for euclidean, within rounding for cosine.
 from __future__ import annotations
 
 import heapq
+import inspect
 import math
 from collections import defaultdict
 
@@ -27,13 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ann import BruteForceIndex, HNSWIndex
-from repro.core import DiscoveryEngine
+from repro.core import ANNSearch, DiscoveryEngine
 from repro.core.base import evidence_scores
 from repro.datamodel import Federation, Relation
 from repro.embedding import SemanticHashEncoder
 from repro.errors import SanitizerError
 from repro.linalg.distances import Metric, normalize_rows
 from repro.vectordb.collection import Collection
+from repro.vectordb.index import HNSWPQIndex
 
 # -- the old HNSW query loops (oracle) ------------------------------------
 
@@ -273,13 +275,14 @@ class TestIndexedSearch:
         collection.create_index("exact")
         ExplodingIndex.calls = 0
         with pytest.raises(TypeError, match="failure inside the index"):
-            collection.search_rows(np.ones((1, 16)), k=3, ef=50)
+            collection.search_rows(np.ones((1, 16)), k=3)
         with pytest.raises(TypeError, match="failure inside the index"):
             collection.search_rows(np.ones((2, 16)), k=3)
         assert ExplodingIndex.calls == 2  # one call each, no retry
 
     @pytest.mark.parametrize("kind", ["exact"])
     def test_indexes_without_ef_are_asked_once(self, monkeypatch, kind):
+        """One index call per query block, with no beam keyword."""
         collection = _values_collection()
         collection.create_index(kind)
         index_type = type(collection._index)
@@ -291,7 +294,7 @@ class TestIndexedSearch:
             return original(self, queries, k)
 
         monkeypatch.setattr(index_type, "search_rows", counted)
-        collection.search_rows(np.ones((3, 16)), k=4, ef=40)
+        collection.search_rows(np.ones((3, 16)), k=4)
         assert calls == [3]
 
     @pytest.mark.parametrize("kind", ["hnsw", "hnsw+pq", "exact"])
@@ -301,9 +304,9 @@ class TestIndexedSearch:
         params = {"n_centroids": 16} if "pq" in kind else {}
         collection.create_index(kind, **params)
         queries = np.random.default_rng(1).standard_normal((3, 16))
-        rows = collection.search_rows(queries, k=5, ef=30)
+        rows = collection.search_rows(queries, k=5)
         for q, (r, s) in zip(queries, rows):
-            single_rows, single_scores = collection.search_rows(q[np.newaxis, :], k=5, ef=30)[0]
+            single_rows, single_scores = collection.search_rows(q[np.newaxis, :], k=5)[0]
             assert single_rows.tolist() == r.tolist()
             assert single_scores.tolist() == s.tolist()
 
@@ -311,14 +314,14 @@ class TestIndexedSearch:
         # Collections arm their guards from the environment, as the
         # hardened CI shards set it.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        engine = DiscoveryEngine(encoder=SemanticHashEncoder(dim=32), dtype=np.float32)
+        engine = DiscoveryEngine(encoder=SemanticHashEncoder(dim=32))
         engine.index(Federation.from_relations(_relations()))
         try:
             collection = engine.method("anns")._values
             assert collection.dtype == np.float32 and collection.sanitize
             block = np.ones((1, 32))
             with pytest.raises(SanitizerError, match="dtype"):
-                collection.search_rows(block, k=5, ef=20)
+                collection.search_rows(block, k=5)
             # ANNS casts before it crosses the boundary.
             assert len(engine.search("football", method="anns", k=3)) > 0
             assert len(engine.search_batch(["football", "gdp"], method="anns", k=3)) == 2
@@ -343,18 +346,25 @@ def _relations():
 
 
 class TestANNSBeamWidth:
-    """Pins the layer-0 beam of ANNS's HNSW+PQ path.  The ``ef`` ANNS
-    passes and ``ef_search`` are both dead there: the beam is
-    ``2 * int(1.5 * budget)``.  Changing it changes answers, so a change
-    must be deliberate and reported."""
+    """Pins the layer-0 beam of ANNS's graph at budget ``b``.  The beam is
+    no parameter: the collection fetches ``fetch = max(b, int(1.5 * b))``
+    candidates, and the graph's beam is exactly its request — ``fetch``
+    for ``"hnsw"``, ``max(2 * fetch, fetch + 8)`` for ``"hnsw+pq"``.
+    Changing it changes answers, so a change must be deliberate and
+    reported."""
 
     @pytest.mark.parametrize(
         ("params", "beam"),
         [
-            ({}, 768),  # the default budget of 256
+            ({}, 768),  # hnsw+pq at the default budget of 256
             ({"n_candidates": 40}, 120),
-            ({"n_candidates": 40, "ef_search": 7}, 120),
-            ({"n_candidates": 40, "ef_search": 900}, 120),
+            ({"index_kind": "hnsw", "n_candidates": 80}, 120),
+            ({"n_candidates": 40, "m": 8, "ef_construction": 16}, 120),
+            ({"n_candidates": 1}, 9),
+            ({"n_candidates": 5}, 15),
+            ({"index_kind": "hnsw", "n_candidates": 1}, 1),
+            ({"index_kind": "hnsw", "n_candidates": 42}, 63),
+            ({"index_kind": "hnsw"}, 384),
         ],
     )
     def test_beam(self, monkeypatch, params, beam):
@@ -379,6 +389,15 @@ class TestANNSBeamWidth:
         finally:
             engine.close()
 
+    def test_ef_search_is_gone(self):
+        with pytest.raises(TypeError):
+            ANNSearch(ef_search=64)
+
 
 def test_exact_index_ignores_ef_by_type():
-    assert not BruteForceIndex.takes_ef and HNSWIndex.takes_ef
+    """No collection search takes a beam: neither the collection nor the
+    indexes it attaches accept ``ef``; only a standalone HNSW graph does."""
+    for search_rows in (Collection.search_rows, BruteForceIndex.search_rows,
+                        HNSWPQIndex.search_rows):
+        assert "ef" not in inspect.signature(search_rows).parameters
+    assert "ef" in inspect.signature(HNSWIndex.search_rows).parameters

@@ -15,8 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
 from repro.core.engine import DiscoveryEngine
 from repro.core.results import BatchResult, same_ranking
 from repro.exec import ThreadBackend
@@ -24,17 +22,11 @@ from repro.exec import ThreadBackend
 METHODS = ("exs", "anns", "cts")
 
 
-def score_tol(engine) -> float:
-    """Sequential-vs-batched score tolerance for the engine's dtype.
-
-    At float64 the batched kernels sum the very same products as the
-    sequential ones, so 1e-9 holds.  At float32 (the default) BLAS's
-    matrix-vector (sequential) and matrix-matrix (batched) kernels
-    order the reductions differently; at d≈100 the observed divergence
-    is ~1.5e-5, so we allow 1e-4 while still requiring identical
-    rankings.
-    """
-    return 1e-9 if engine.dtype == np.float64 else 1e-4
+#: Sequential-vs-batched score tolerance.  At the float32 scan dtype
+#: BLAS's matrix-vector (sequential) and matrix-matrix (batched) kernels
+#: order the reductions differently; at d≈100 the observed divergence
+#: is ~1.5e-5, so we allow 1e-4 while still requiring identical rankings.
+SCORE_TOL = 1e-4
 
 QUERIES = [
     "covid vaccine europe",
@@ -73,7 +65,6 @@ query_lists = st.lists(
 def assert_batch_matches_sequential(engine, queries, method, k=10, h=0.0, callers=1):
     """``callers > 1`` issues the same batch from that many threads at
     once; every one of them must answer like the sequential loop."""
-    tol = score_tol(engine)
     sequential = [engine.search(q, method=method, k=k, h=h) for q in queries]
     with ThreadBackend(max_workers=callers) as pool:
         batches = pool.map(
@@ -86,8 +77,8 @@ def assert_batch_matches_sequential(engine, queries, method, k=10, h=0.0, caller
             assert bat.method == seq.method
             assert bat.relation_ids() == seq.relation_ids()
             for m_seq, m_bat in zip(seq.matches, bat.matches):
-                assert m_bat.score == pytest.approx(m_seq.score, abs=tol)
-            assert same_ranking(seq, bat, score_tol=tol)
+                assert m_bat.score == pytest.approx(m_seq.score, abs=SCORE_TOL)
+            assert same_ranking(seq, bat, score_tol=SCORE_TOL)
 
 
 @pytest.mark.parametrize("method", METHODS)

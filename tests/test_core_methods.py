@@ -60,8 +60,9 @@ class TestExhaustiveSearch:
         assert match == pytest.approx(expected, abs=1e-6)
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ExhaustiveSearch(dtype=np.int64)
+        # float32 is the one scan dtype.
+        with pytest.raises(TypeError):
+            ExhaustiveSearch(dtype=np.float64)
         # ExS is the paper's mean aggregation only.
         with pytest.raises(TypeError):
             ExhaustiveSearch(aggregate="mean")

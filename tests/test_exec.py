@@ -205,9 +205,9 @@ def make_engine(tiny_federation, executor, shards: int = 1) -> DiscoveryEngine:
 
 def exs_answers(federation, executor, shards=1, add=None, remove=()):
     """Every query's ExS ``(relation_id, score)`` list from a fresh
-    float64 engine (float32 queries would hide last-bit differences),
-    after an optional delta patched into the built index."""
-    engine = DiscoveryEngine(dim=48, shards=shards, executor=executor, dtype=np.float64)
+    engine (float64 scores of float32 queries against float64
+    centroids), after an optional delta patched into the built index."""
+    engine = DiscoveryEngine(dim=48, shards=shards, executor=executor)
     with engine.index(federation):
         engine.method("exs")
         if add:

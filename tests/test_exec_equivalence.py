@@ -22,7 +22,7 @@ from repro.datamodel.relation import Federation, Relation
 from repro.storage import live_mapped_paths
 
 from tests.crossprocess import run_elsewhere
-from tests.test_sharding import QUERIES, SCORE_TOL, make_relation, qualified
+from tests.engine_equivalence import QUERIES, SCORE_TOL, make_relation, qualified
 
 #: Where the engine under test runs: on a backend in this process, or
 #: (``"process"``) in a fresh interpreter.  The library itself starts no

@@ -2,9 +2,9 @@
 
 Algorithm 1 as plain loops (float64, count-weighted mean, ``h`` filter,
 ``(-score, relation_id)``, top-k) is the only reference in this file.
-Every way of *scoring* — the GEMM-bounded row-wise centroid scan at
-either query dtype, either backend or another interpreter, any
-``shards=`` value — and every way
+Every way of *scoring* — the GEMM-bounded row-wise centroid scan on
+either backend or another interpreter, any ``shards=`` value — and
+every way
 of *cutting* (k, h, exact ties) is compared with that oracle, never
 pairwise with another engine path; the GEMM filter alone is checked
 against a full row-wise scan on planted near-ties at 60 000 rows.
@@ -28,9 +28,12 @@ from repro.linalg import rowwise_scores
 
 from tests.crossprocess import run_elsewhere
 
-#: Queries are quantised to the engine dtype (float32 by default); the
-#: oracle scores in float64.
+#: Queries are quantised to float32; an oracle that scores the float64
+#: query sees that quantisation.
 TOL = 1e-5
+#: An oracle that quantises its query as the engine does sees only the
+#: reassociation of the centroid sums.
+QUANTISED_TOL = 1e-9
 
 TOPICS = [
     ["vaccine", "dose", "immunity", "booster", "trial"],
@@ -76,9 +79,10 @@ def federation() -> Federation:
 # -- the oracle -------------------------------------------------------------
 
 
-def oracle_scores(embeddings, query) -> dict[str, float]:
-    """Every relation's Algorithm-1 score, one multiply-add at a time."""
-    q = [float(x) for x in embeddings.encode_query(query)]
+def oracle_scores(embeddings, query, query_dtype=np.float64) -> dict[str, float]:
+    """Every relation's Algorithm-1 score, one multiply-add at a time,
+    the query taken at ``query_dtype`` (the engine quantises to float32)."""
+    q = [float(x) for x in np.asarray(embeddings.encode_query(query), dtype=query_dtype)]
     scores: dict[str, float] = {}
     for relation in embeddings.relations:
         sims = [sum(float(v) * x for v, x in zip(row, q)) for row in relation.vectors]
@@ -93,34 +97,41 @@ def oracle_top_k(scores: dict[str, float], k: int, h: float) -> list[tuple[str, 
     return kept[:k]
 
 
-def assert_agrees(answer, truth: dict[str, float], cells: dict[str, int], k: int, h: float):
+def assert_agrees(
+    answer, truth: dict[str, float], cells: dict[str, int], k: int, h: float, tol: float = TOL
+):
     """``answer`` is a correct top-``k``: in the contract's own total
     order, and position by position a relation whose oracle score is
     both what the engine reported and the oracle's i-th best (within
-    ``TOL``, so only float32 near-ties may swap)."""
+    ``tol``, so only near-ties may swap)."""
     matches = list(answer)
     own_order = [(-m.score, m.relation_id) for m in matches]
     assert own_order == sorted(own_order)
     assert len({m.relation_id for m in matches}) == len(matches)
-    expected = [s for _, s in oracle_top_k(truth, k, h - TOL)]
-    n_sure = sum(1 for s in truth.values() if s >= h + TOL)
+    expected = [s for _, s in oracle_top_k(truth, k, h - tol)]
+    n_sure = sum(1 for s in truth.values() if s >= h + tol)
     assert min(n_sure, k) <= len(matches) <= len(expected)
     for match, want in zip(matches, expected):
-        assert match.score == pytest.approx(truth[match.relation_id], abs=TOL)
-        assert truth[match.relation_id] == pytest.approx(want, abs=TOL)
+        assert match.score == pytest.approx(truth[match.relation_id], abs=tol)
+        assert truth[match.relation_id] == pytest.approx(want, abs=tol)
         assert match.score >= h
         assert match.details == {"n_values": cells[match.relation_id]}
 
 
-def check_engine(engine: DiscoveryEngine) -> list[list[tuple[str, float]]]:
-    """``search`` and ``search_batch`` against the
-    oracle over every k/h corner; returns every answer it checked."""
+def check_engine(
+    engine: DiscoveryEngine, quantised: bool = False
+) -> list[list[tuple[str, float]]]:
+    """``search`` and ``search_batch`` against the oracle over every k/h
+    corner; returns every answer it checked.  A ``quantised`` oracle
+    takes its query at float32, as the engine does, and must agree to
+    :data:`QUANTISED_TOL`."""
     store = engine.embeddings
     cells = {r.relation_id: r.n_cells for r in store.relations}
-    truths = [oracle_scores(store, query) for query in QUERIES]
+    query_dtype, tol = (np.float32, QUANTISED_TOL) if quantised else (np.float64, TOL)
+    truths = [oracle_scores(store, query, query_dtype) for query in QUERIES]
     n = store.n_relations
     best = max(max(truth.values()) for truth in truths)
-    mid = sorted(truths[0].values())[-5] - 3 * TOL  # keeps the first query's five best
+    mid = sorted(truths[0].values())[-5] - 3 * tol  # keeps the first query's five best
     checked = []
     for k in (1, 5, n, n + 7):
         for h in (-1.0, 0.0, mid, best + 0.1):
@@ -130,27 +141,27 @@ def check_engine(engine: DiscoveryEngine) -> list[list[tuple[str, float]]]:
                 assert [len(answer) for answer in batch] == [0] * len(QUERIES)
             answers += batch
             for answer, truth in zip(answers, truths * 2):
-                assert_agrees(answer, truth, cells, k, h)
+                assert_agrees(answer, truth, cells, k, h, tol)
             checked += [[(m.relation_id, m.score) for m in answer] for answer in answers]
     return checked
 
 
-def make_engine(shards=1, executor="inline", dtype=np.float32) -> DiscoveryEngine:
-    return DiscoveryEngine(dim=48, shards=shards, executor=executor, dtype=dtype)
+def make_engine(shards=1, executor="inline") -> DiscoveryEngine:
+    return DiscoveryEngine(dim=48, shards=shards, executor=executor)
 
 
-def checked_answers(shards: int, executor: str, float64: bool) -> list:
+def checked_answers(shards: int, executor: str, quantised: bool) -> list:
     """:func:`check_engine` on a freshly indexed engine."""
-    with make_engine(shards, executor, dtype=np.float64 if float64 else np.float32) as engine:
+    with make_engine(shards, executor) as engine:
         engine.index(federation())
-        return check_engine(engine)
+        return check_engine(engine, quantised)
 
 
 def every_arm_checked() -> dict:
     return {
-        (shards, float64): checked_answers(shards, "thread", float64)
+        (shards, quantised): checked_answers(shards, "thread", quantised)
         for shards in (1, 2, 5)
-        for float64 in (True, False)
+        for quantised in (True, False)
     }
 
 
@@ -165,19 +176,22 @@ def checked_elsewhere() -> dict:
 
 
 @pytest.mark.parametrize("aggregate", ["mean"])
-@pytest.mark.parametrize("float64", [True, False])
+@pytest.mark.parametrize("quantised", [True, False])
 @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
 @pytest.mark.parametrize("shards", [1, 2, 5])
-def test_every_path_agrees_with_oracle(shards, executor, float64, aggregate):
-    """``float64`` picks the engine dtype: float64 queries, or the
-    float32 default.  ``aggregate`` is the paper's mean, the only one.
+def test_every_path_agrees_with_oracle(shards, executor, quantised, aggregate):
+    """``quantised`` picks the oracle: its query at float32 like the
+    engine's, checked to 1e-9, or at float64, checked to 1e-5.
+    ``aggregate`` is the paper's mean, the only one.
     ``"process"`` is a thread-backend engine in another interpreter: it
     must agree with the oracle there, and with this process bit for
     bit."""
     if executor == "process":
-        assert checked_elsewhere()[shards, float64] == checked_answers(shards, "inline", float64)
+        assert checked_elsewhere()[shards, quantised] == checked_answers(
+            shards, "inline", quantised
+        )
     else:
-        checked_answers(shards, executor, float64)
+        checked_answers(shards, executor, quantised)
 
 
 @pytest.mark.parametrize("shards", [1, 2, 5])
@@ -321,7 +335,7 @@ def planted():
             matrix[rows] = block
     gemm, exact = (queries @ matrix.T).T, rowwise_scores(matrix, queries)
     assert np.any(gemm[slots[0]] != exact[slots[0]]), "the plant must split the kernels"
-    exs = ExhaustiveSearch(dtype=np.float64)
+    exs = ExhaustiveSearch()
     exs._matrix = matrix
     exs._block_ids = [f"r{i:05d}" for i in rng.permutation(PLANTED_R)]
     exs._block_cells = dict.fromkeys(exs._block_ids, 1)

@@ -8,8 +8,10 @@ safe: the fast paths rank *exactly* what the reference paths rank.
 
 The ExS reference is ``tests.test_exs_result_path.oracle_scores``:
 every value vector against the query in float64, then the
-count-weighted mean.  Tolerance model: 1e-9 at float64.  At float32
-the query is quantised, so scores drift by up to ~1e-5 on unit-norm
+count-weighted mean.  The engine quantises queries to float32.
+Tolerance model: 1e-9 when the oracle quantises its query the same way
+(the ``float32`` arms); a float64 oracle query (the ``float64`` arms)
+sees the quantisation, so scores drift by up to ~1e-5 on unit-norm
 embeddings; rankings must still be identical.
 """
 
@@ -18,7 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ann.hnsw import HNSWIndex
 from repro.ann.pq import ProductQuantizer
+from repro.core.anns import ANNSearch
 from repro.core.engine import DiscoveryEngine
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.datamodel.relation import Federation, Relation
@@ -63,52 +67,56 @@ def federation(slots) -> Federation:
     return Federation.from_relations([make_relation(s) for s in slots])
 
 
-def score_tol(dtype) -> float:
-    """1e-9 at float64; float32 pays BLAS kernel-shape reduction drift."""
-    return 1e-9 if np.dtype(dtype) == np.float64 else 1e-4
+def score_tol(oracle_dtype) -> float:
+    """1e-9 when the oracle's query is quantised to float32 like the
+    engine's; a float64 oracle query also sees the quantisation."""
+    return 1e-9 if np.dtype(oracle_dtype) == np.float32 else 1e-4
 
 
-def make_exs_engine(dtype, shards: int = 1) -> DiscoveryEngine:
-    return DiscoveryEngine(dim=48, dtype=dtype, shards=shards)
+def make_exs_engine(shards: int = 1) -> DiscoveryEngine:
+    return DiscoveryEngine(dim=48, shards=shards)
 
 
-def assert_matches_reference(engine: DiscoveryEngine, tol: float) -> None:
+def assert_matches_reference(engine: DiscoveryEngine, oracle_dtype) -> None:
+    """ExS ranks like the oracle, its query taken at ``oracle_dtype``."""
     batch = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
     for query, got in zip(QUERIES, batch):
-        truth = oracle_scores(engine.embeddings, query)
+        truth = oracle_scores(engine.embeddings, query, query_dtype=oracle_dtype)
         want = sorted(truth, key=lambda rid: (-truth[rid], rid))
         assert got.relation_ids() == want
         for match in got.matches:
-            assert match.score == pytest.approx(truth[match.relation_id], abs=tol)
+            assert match.score == pytest.approx(
+                truth[match.relation_id], abs=score_tol(oracle_dtype)
+            )
 
 
 # -- the ExS scan vs the per-block reference ---------------------------------
 
 
 class TestFusedVsPerBlock:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("oracle_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("aggregate", ["mean"])
-    def test_batch_rank_identity(self, dtype, aggregate):
-        engine = make_exs_engine(dtype).index(federation(range(8)))
-        assert_matches_reference(engine, score_tol(dtype))
+    def test_batch_rank_identity(self, oracle_dtype, aggregate):
+        engine = make_exs_engine().index(federation(range(8)))
+        assert_matches_reference(engine, oracle_dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_single_query_paths_agree(self, dtype):
+    @pytest.mark.parametrize("oracle_dtype", [np.float32, np.float64])
+    def test_single_query_paths_agree(self, oracle_dtype):
         """A single query is a batch of one: ``search`` returns the bits
         ``search_batch`` does, and both rank like the reference."""
-        engine = make_exs_engine(dtype).index(federation(range(6)))
+        engine = make_exs_engine().index(federation(range(6)))
         batch = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
         for query, via_batch in zip(QUERIES, batch):
             single = engine.search(query, method="exs", k=100, h=-1.0)
             assert [(m.relation_id, m.score) for m in single.matches] == [
                 (m.relation_id, m.score) for m in via_batch.matches
             ]
-        assert_matches_reference(engine, score_tol(dtype))
+        assert_matches_reference(engine, oracle_dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_parallel_workers_match_sequential(self, dtype):
+    @pytest.mark.parametrize("oracle_dtype", [np.float32, np.float64])
+    def test_parallel_workers_match_sequential(self, oracle_dtype):
         fed = federation(range(8))
-        engine = make_exs_engine(dtype).index(fed)
+        engine = make_exs_engine().index(fed)
         sequential = engine.search_batch(QUERIES, method="exs", k=100, h=-1.0)
         # Four caller threads scanning the same index at once.
         with ThreadBackend(max_workers=4) as pool:
@@ -121,18 +129,19 @@ class TestFusedVsPerBlock:
                 for ms, mp in zip(s.matches, p.matches):
                     # Same kernel, same operands: bitwise identical.
                     assert ms.score == mp.score
+        assert_matches_reference(engine, oracle_dtype)
 
     @pytest.mark.parametrize("shards", [2, 5])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sharded_fused_matches_unsharded_loop(self, shards, dtype):
-        sharded = make_exs_engine(dtype, shards=shards).index(federation(range(8)))
-        assert_matches_reference(sharded, score_tol(dtype))
+    @pytest.mark.parametrize("oracle_dtype", [np.float32, np.float64])
+    def test_sharded_fused_matches_unsharded_loop(self, shards, oracle_dtype):
+        sharded = make_exs_engine(shards=shards).index(federation(range(8)))
+        assert_matches_reference(sharded, oracle_dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_delta_sequence_keeps_rank_identity(self, dtype):
+    @pytest.mark.parametrize("oracle_dtype", [np.float32, np.float64])
+    def test_delta_sequence_keeps_rank_identity(self, oracle_dtype):
         """add/update/remove deltas patch the scan matrix and its block
         offsets exactly like a per-block view of the store."""
-        engine = make_exs_engine(dtype).index(federation(range(5)))
+        engine = make_exs_engine().index(federation(range(5)))
         engine.method("exs")  # build before deltas so the index patches in place
         steps = [
             ("add", {qualified(8): make_relation(8)}),
@@ -144,20 +153,22 @@ class TestFusedVsPerBlock:
         ]
         for op, payload in steps:
             getattr(engine, f"{op}_relations")(payload)
-            assert_matches_reference(engine, score_tol(dtype))
+            assert_matches_reference(engine, oracle_dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sharded_delta_sequence(self, dtype):
-        sharded = make_exs_engine(dtype, shards=2).index(federation(range(6)))
+    @pytest.mark.parametrize("oracle_dtype", [np.float32, np.float64])
+    def test_sharded_delta_sequence(self, oracle_dtype):
+        sharded = make_exs_engine(shards=2).index(federation(range(6)))
         sharded.method("exs")
         sharded.add_relations({qualified(7): make_relation(7)})
         sharded.update_relations({qualified(1): make_relation(1, version=1)})
         sharded.remove_relations([qualified(4)])
-        assert_matches_reference(sharded, score_tol(dtype))
+        assert_matches_reference(sharded, oracle_dtype)
 
     def test_rejects_unsupported_dtype(self):
-        with pytest.raises(ValueError):
-            ExhaustiveSearch(dtype=np.float16)
+        # float32 is the one scan dtype: no method or engine takes another.
+        for make in (ExhaustiveSearch, ANNSearch, DiscoveryEngine):
+            with pytest.raises(TypeError):
+                make(dtype=np.float16)
 
 
 # -- batched ADC ------------------------------------------------------------
@@ -199,7 +210,7 @@ class TestBatchedADC:
             want = engine.search(query, method="anns", k=100, h=-1.0)
             assert want.relation_ids() == got.relation_ids()
             for mw, mg in zip(want.matches, got.matches):
-                assert mg.score == pytest.approx(mw.score, abs=score_tol(np.float32))
+                assert mg.score == pytest.approx(mw.score, abs=1e-4)
 
     @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.EUCLIDEAN])
     def test_hnswpq_batch_bitwise_matches_sequential(self, rng, pq_vectors, metric):
@@ -263,13 +274,13 @@ class TestCollectionBatching:
         col = Collection("c", matrix)
         col.create_index("hnsw")
         builds = []
-        original = col._index.build
+        original = HNSWIndex.build
 
-        def counting_build(vectors):
+        def counting_build(self, vectors):
             builds.append(vectors.shape[0])
-            return original(vectors)
+            return original(self, vectors)
 
-        monkeypatch.setattr(col._index, "build", counting_build)
+        monkeypatch.setattr(HNSWIndex, "build", counting_build)
         col.reset(np.vstack([matrix, make_matrix(rng, 10)]))  # stales the index
         queries = rng.normal(size=(5, 16))
         col.search_rows(queries, k=3)
@@ -317,30 +328,23 @@ class TestCollectionBatching:
 
 class TestMemoryObservability:
     def test_float32_halves_engine_index_bytes(self):
-        """The value table is float32 whatever the engine dtype and is
-        counted once; a float64 ANNS keeps a float64 cast of its matrix,
-        and its norms and exact index double with the dtype."""
+        """ANNS searches the store's float32 value table in place: the
+        table is counted once, and ANNS owns only its exact index, a
+        normalized float32 copy of the table (half a float64 one)."""
         fed = federation(range(6))
-        sizes, anns_bytes = {}, {}
-        for dtype in (np.float32, np.float64):
-            engine = DiscoveryEngine(
-                dim=48, dtype=dtype, method_params={"anns": {"index_kind": "exact"}}
-            ).index(fed)
-            anns = engine.method("anns")  # only ANNS built: the sums are exact
-            name = np.dtype(dtype).name
-            sizes[name] = engine.metrics.gauge("engine.index_bytes").value
-            anns_bytes[name] = anns.index_bytes()
-            table_bytes = engine.embeddings.table_nbytes
-            assert sizes[name] == table_bytes + anns_bytes[name]
-        vector_bytes = engine.embeddings.value_table().vectors.nbytes
-        assert anns_bytes["float64"] == 2 * anns_bytes["float32"] + 2 * vector_bytes > 0
-        assert sizes["float64"] - sizes["float32"] == anns_bytes["float64"] - anns_bytes["float32"]
+        engine = DiscoveryEngine(dim=48, method_params={"anns": {"index_kind": "exact"}}).index(fed)
+        anns = engine.method("anns")  # only ANNS built: the sums are exact
+        table = engine.embeddings.value_table()
+        assert table.vectors.dtype == np.float32
+        assert anns.index_bytes() == table.vectors.nbytes > 0
+        assert (
+            engine.metrics.gauge("engine.index_bytes").value
+            == engine.embeddings.table_nbytes + anns.index_bytes()
+        )
 
     def test_exs_index_bytes_is_stacked_matrix(self):
-        fed = federation(range(6))
-        for dtype in (np.float32, np.float64):
-            engine = make_exs_engine(dtype).index(fed)
-            assert engine.method("exs").index_bytes() == 6 * 48 * 8  # R centroids x d x float64
+        engine = make_exs_engine().index(federation(range(6)))
+        assert engine.method("exs").index_bytes() == 6 * 48 * 8  # R centroids x d x float64
         assert engine.embeddings.nbytes > 0  # semantic store reports too
 
 

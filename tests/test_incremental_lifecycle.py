@@ -19,12 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ann import HNSWIndex
 from repro.core import DiscoveryEngine, FederationDelta
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.semimg import build_relation_embedding
+from repro.data.wikitables import generate_wikitables_corpus
+from repro.datamodel import Dataset
 from repro.datamodel.relation import Federation, Relation
 from repro.embedding.semantic import SemanticHashEncoder
 from repro.errors import ConfigurationError, NotFittedError
+from repro.vectordb.index import HNSWPQIndex
 
 SCORE_TOL = 1e-9
 
@@ -456,6 +460,74 @@ class TestEngineLifecycle:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert_table_matches_store(engine.embeddings)
+
+    @pytest.mark.parametrize("kind", ["hnsw", "hnsw+pq"])
+    def test_readers_after_a_delta_rebuild_the_graph_once(self, monkeypatch, kind):
+        """A delta leaves ANNS's graph stale and the next query rebuilds
+        it.  Readers released together by a barrier must share one build
+        and each get the answer a freshly indexed engine gives."""
+        corpus = generate_wikitables_corpus(n_tables=20, n_queries=8, seed=0)
+        federation = Federation(corpus.name, [Dataset(corpus.name, corpus.relations)])
+        queries = corpus.query_texts()
+        relation_id, relation = next(iter(federation.relations()))
+        revised = Relation(
+            relation.name,
+            relation.schema,
+            [[f"{row.values[0]} revised", *row.values[1:]] for row in relation.rows],
+            caption=relation.caption,
+        )
+        params = {"anns": {"index_kind": kind}}
+        engine = DiscoveryEngine(encoder=SemanticHashEncoder(dim=64), method_params=params)
+        engine.index(federation)
+        engine.method("anns")
+        engine.update_relations({relation_id: revised})
+
+        graph = HNSWIndex if kind == "hnsw" else HNSWPQIndex
+        builds: list[int] = []
+        original = graph.build
+
+        def counted(index, vectors):
+            builds.append(vectors.shape[0])
+            return original(index, vectors)
+
+        monkeypatch.setattr(graph, "build", counted)
+        n_readers = 4
+        barrier = threading.Barrier(n_readers)
+        answers: dict[int, list] = {}
+        errors: list[BaseException] = []
+
+        def reader(slot: int) -> None:
+            try:
+                barrier.wait()
+                result = engine.search(queries[slot], method="anns", k=10, h=-1.0)
+                answers[slot] = [(m.relation_id, m.score) for m in result.matches]
+            except BaseException as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(n_readers)]
+        try:
+            for t in threads:
+                t.start()
+        finally:
+            for t in threads:
+                t.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(builds) == 1
+        monkeypatch.undo()
+
+        fresh = DiscoveryEngine(encoder=SemanticHashEncoder(dim=64), method_params=params)
+        try:
+            fresh.index(federation)
+            fresh.update_relations({relation_id: revised})
+            for slot in range(n_readers):
+                result = fresh.search(queries[slot], method="anns", k=10, h=-1.0)
+                assert answers[slot] == [(m.relation_id, m.score) for m in result.matches]
+        finally:
+            fresh.close()
+            engine.close()
 
 
 # -- store-level lifecycle -------------------------------------------------

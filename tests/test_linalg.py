@@ -218,7 +218,7 @@ class TestExSScanKernels:
     def test_relation_centroids_are_per_relation(self, rng):
         """A centroid computed over the whole federation has the bits of
         the same relation's centroid computed alone — and of its float64
-        copy (what a float64 snapshot loads)."""
+        copy (what a retired float64 snapshot held)."""
         relations = []
         for i in range(40):
             n = int(rng.integers(1, 30))
@@ -248,10 +248,9 @@ class TestExSScanKernels:
             np.testing.assert_allclose(alone, weighted, atol=1e-15)
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_search_is_a_batch_of_one(self, tiny_federation, dtype, shards):
+    def test_search_is_a_batch_of_one(self, tiny_federation, shards):
         queries = ["vaccination europe", "football league", "gdp growth", "covid"]
-        with DiscoveryEngine(dim=48, dtype=dtype, shards=shards, executor="inline") as engine:
+        with DiscoveryEngine(dim=48, shards=shards, executor="inline") as engine:
             engine.index(tiny_federation)
             batch = engine.search_batch(queries, method="exs", k=10, h=-1.0)
             for query, in_batch in zip(queries, batch):

@@ -4,7 +4,8 @@ snapshot that answers like a cold build, bit for bit.
 The retired layouts come from :mod:`tests.legacy_layouts`.  Each is
 migrated, then loaded eagerly and mapped; ExS and exact-index ANNS must
 return the cold build's ``(relation, score)`` lists at the stored
-generation and dtype.  A torn input is refused with no output written.
+generation, from float32 vectors whatever dtype the input stored.  A
+torn input is refused with no output written.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from repro.storage import live_mapped_paths, open_snapshot
 from repro.storage.migrate import migrate
 
 from tests.crossprocess import ROOT, SRC
-from tests.legacy_layouts import save_npz, save_sharded, save_without_centroids
-from tests.test_sharding import QUERIES, make_relation, qualified
+from tests.engine_equivalence import QUERIES, make_relation, qualified
+from tests.legacy_layouts import save_float64, save_npz, save_sharded, save_without_centroids
 from tests.test_storage_properties import federation, make_engine
 
 LAYOUTS = {
-    "npz": (np.float32, lambda store, path: save_npz(store, path)),
-    "sharded": (np.float64, lambda store, path: save_sharded(store, path, 3, np.float64)),
-    "centroidless": (
-        np.float64,
-        lambda store, path: save_without_centroids(store, path, np.float64),
-    ),
+    "npz": lambda store, path: save_npz(store, path),
+    "sharded": lambda store, path: save_sharded(store, path, 3, np.float64),
+    "centroidless": lambda store, path: save_without_centroids(store, path, np.float64),
+    "float64": save_float64,
 }
 
 
@@ -46,19 +45,18 @@ def answers(engine: DiscoveryEngine, method: str) -> list:
 @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_migrated_layout_answers_like_a_cold_build(tmp_path, layout, mmap):
-    dtype, save = LAYOUTS[layout]
-    with make_engine(dtype=dtype).index(federation()) as cold:
+    with make_engine().index(federation()) as cold:
         cold.update_relations({qualified(2): make_relation(2, version=1)})
-        save(cold.embeddings, tmp_path / "old")
-        with make_engine(dtype=dtype) as refusing:
+        LAYOUTS[layout](cold.embeddings, tmp_path / "old")
+        with make_engine() as refusing:
             with pytest.raises(StorageError, match="repro.storage migrate"):
                 refusing.load_index(tmp_path / "old", mmap=mmap)
         migrate(tmp_path / "old", tmp_path / "new")
         snapshot = open_snapshot(tmp_path / "new")
         assert snapshot.generation == cold.embeddings.generation
-        assert snapshot.meta["dtype"] == np.dtype(dtype).name
+        assert snapshot.meta["dtype"] == "float32"
         assert "centroids" in snapshot.segment_names()
-        with make_engine(dtype=dtype).load_index(tmp_path / "new", mmap=mmap) as warm:
+        with make_engine().load_index(tmp_path / "new", mmap=mmap) as warm:
             assert warm.embeddings.relation_ids() == cold.embeddings.relation_ids()
             for method in ("exs", "anns"):
                 assert answers(warm, method) == answers(cold, method)

@@ -22,7 +22,6 @@ import pytest
 
 import repro
 from repro.cache import (
-    CACHE_ENV,
     CacheSignature,
     SemanticResultCache,
     resolve_query_cache,
@@ -218,42 +217,32 @@ class TestSemanticResultCache:
 
 
 class TestResolveQueryCache:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV, raising=False)
+    def test_off_by_default(self):
         assert resolve_query_cache(None) is None
         assert resolve_query_cache(False) is None
-        assert resolve_query_cache("off") is None
-
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, "1")
-        cache = resolve_query_cache(None)
-        assert isinstance(cache, SemanticResultCache)
-
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, "tau=0.9, capacity=12, max_bytes=4096")
-        cache = resolve_query_cache(None)
-        assert cache is not None
-        assert cache.tau == pytest.approx(0.9)
-        assert cache.capacity == 12
-        assert cache.max_bytes == 4096
+        assert isinstance(resolve_query_cache(True), SemanticResultCache)
 
     def test_bad_knobs_rejected(self):
+        # Cache settings are constructor arguments of SemanticResultCache;
+        # the engine takes no config strings.
+        for spec in ("1", "off", "tau=0.9", "window=3"):
+            with pytest.raises(ConfigurationError):
+                resolve_query_cache(spec)
         with pytest.raises(ConfigurationError):
-            resolve_query_cache("window=3")
-        with pytest.raises(ConfigurationError):
-            resolve_query_cache("tau=large")
+            DiscoveryEngine(dim=32, query_cache="tau=0.95,capacity=1024")
+
+    def test_environment_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_QUERY_CACHE", "1")
+        assert resolve_query_cache(None) is None
+        engine = DiscoveryEngine(dim=32)
+        assert engine.query_cache is None
+        engine.close()
 
     def test_instance_passthrough_rebinds_metrics(self):
         cache = SemanticResultCache()
         engine = DiscoveryEngine(dim=32, query_cache=cache)
         assert engine.query_cache is cache
         assert cache.metrics is engine.metrics
-        engine.close()
-
-    def test_engine_env_wiring(self, tiny_federation, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, "1")
-        engine = DiscoveryEngine(dim=32)
-        assert engine.query_cache is not None
         engine.close()
 
 

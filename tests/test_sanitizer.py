@@ -207,11 +207,11 @@ class TestEngineSanitizerMode:
 
 
 class TestFusedKernelGuards:
-    def _exs(self, tiny_federation, **kwargs) -> ExhaustiveSearch:
+    def _exs(self, tiny_federation) -> ExhaustiveSearch:
         embeddings = build_federation_embeddings(
             tiny_federation, SemanticHashEncoder(dim=64)
         )
-        exs = ExhaustiveSearch(**kwargs)
+        exs = ExhaustiveSearch()
         exs.sanitize = True
         return exs.index(embeddings)
 
@@ -225,8 +225,8 @@ class TestFusedKernelGuards:
 
     def test_dtype_mismatched_query_block_is_caught(self, tiny_federation):
         """The float64 centroids would silently absorb a float64 block;
-        the guard holds queries to the engine dtype."""
-        exs = self._exs(tiny_federation, dtype=np.float32)
+        the guard holds queries to float32."""
+        exs = self._exs(tiny_federation)
         block = np.ones((1, 64), dtype=np.float64)
         with pytest.raises(SanitizerError, match="dtype"):
             exs._scan(block, k=5, h=0.0)
@@ -234,8 +234,8 @@ class TestFusedKernelGuards:
     @pytest.mark.parametrize("aggregate, promoted", [("mean", np.float32)])
     def test_dtype_mismatched_matrix_is_caught(self, tiny_federation, aggregate, promoted):
         """The centroid matrix keeps a dtype check of its own: float64,
-        whatever the query dtype."""
-        exs = self._exs(tiny_federation, dtype=np.float32)
+        while queries are float32."""
+        exs = self._exs(tiny_federation)
         assert exs._matrix is not None
         exs._matrix = exs._matrix.astype(promoted)
         with pytest.raises(SanitizerError, match="operand 0 has dtype"):

@@ -3,8 +3,9 @@
 Every method answers from one index over the whole federation, so an
 engine built with any ``shards`` ranks exactly what ``shards=1`` ranks
 — same relation order, same score bits — for fresh indexes AND after
-any sequence of add/update/remove deltas.  The helpers here are shared
-by the other engine-equivalence suites.
+any sequence of add/update/remove deltas.  These are the long form of
+the ``shards`` row of the knob table (``tests/test_knobs.py``); the
+corpus and comparisons come from :mod:`tests.engine_equivalence`.
 """
 
 from __future__ import annotations
@@ -17,87 +18,15 @@ from repro.core import DiscoveryEngine
 from repro.datamodel.relation import Federation, Relation
 from repro.errors import ConfigurationError
 
-# Tolerance for comparisons between engines whose ANNS scans may run
-# on differently shaped blocks: the exact rescore is one float32 GEMM
-# per candidate set, and BLAS picks different kernels for different
-# matrix shapes, so such scores drift by ~1e-9..1e-7.
-SCORE_TOL = 2e-5
-
-TOPICS = [
-    ["vaccine", "dose", "immunity", "booster", "trial"],
-    ["league", "striker", "goal", "stadium", "referee"],
-    ["gdp", "inflation", "export", "tariff", "budget"],
-    ["galaxy", "nebula", "quasar", "orbit", "comet"],
-    ["sonata", "violin", "tempo", "chord", "opera"],
-    ["glacier", "monsoon", "drought", "humidity", "frost"],
-    ["enzyme", "protein", "genome", "ribosome", "cell"],
-    ["harbor", "cargo", "freight", "vessel", "anchor"],
-]
-
-QUERIES = ["vaccine booster trial", "league stadium", "gdp export", "quasar orbit"]
-
-
-def make_relation(slot: int, version: int = 0) -> Relation:
-    words = TOPICS[slot % len(TOPICS)]
-    tag = f"v{version}"
-    return Relation(
-        f"rel{slot}",
-        ["Topic", "Measure", "Year"],
-        [
-            [f"{words[r % len(words)]} {tag}", str(100 * slot + r), str(2018 + version)]
-            for r in range(3 + slot % 2)
-        ],
-        caption=f"{words[0]} {words[1]} table {tag}",
-    )
-
-
-def qualified(slot: int) -> str:
-    return f"rel{slot}/rel{slot}"
-
-
-def make_engine(shards: int = 1) -> DiscoveryEngine:
-    return DiscoveryEngine(
-        dim=48,
-        method_params={
-            # Exact index + exhaustive budget: ANNS candidate sets are
-            # then deterministic, so answers are comparable bit for bit.
-            "anns": {"index_kind": "exact", "n_candidates": 10_000},
-        },
-        shards=shards,
-    )
-
-
-def federation(slots) -> Federation:
-    return Federation.from_relations([make_relation(s) for s in slots])
-
-
-def assert_same_rankings(a: DiscoveryEngine, b: DiscoveryEngine, method: str) -> None:
-    for query in QUERIES:
-        ra = a.search(query, method=method, k=100, h=-1.0)
-        rb = b.search(query, method=method, k=100, h=-1.0)
-        assert ra.relation_ids() == rb.relation_ids(), (
-            f"{method} ranking diverged for {query!r}"
-        )
-        for ma, mb in zip(ra.matches, rb.matches):
-            assert ma.score == pytest.approx(mb.score, abs=SCORE_TOL)
-
-
-def assert_identical(a: DiscoveryEngine, b: DiscoveryEngine, method: str) -> None:
-    """Same ``(relation_id, score)`` lists, bit for bit, per query and
-    per batch."""
-    for query in QUERIES:
-        ra = a.search(query, method=method, k=100, h=-1.0)
-        rb = b.search(query, method=method, k=100, h=-1.0)
-        assert [(m.relation_id, m.score) for m in ra.matches] == [
-            (m.relation_id, m.score) for m in rb.matches
-        ], f"{method} answer diverged for {query!r}"
-    batch_a = a.search_batch(QUERIES, method=method, k=100, h=-1.0)
-    batch_b = b.search_batch(QUERIES, method=method, k=100, h=-1.0)
-    for ra, rb in zip(batch_a, batch_b):
-        assert [(m.relation_id, m.score) for m in ra.matches] == [
-            (m.relation_id, m.score) for m in rb.matches
-        ]
-
+from tests.engine_equivalence import (
+    QUERIES,
+    SCORE_TOL,
+    assert_identical,
+    federation,
+    make_engine,
+    make_relation,
+    qualified,
+)
 
 # -- engine-level equivalence ---------------------------------------------
 
@@ -106,24 +35,13 @@ class TestShardedEngineEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 5])
     @pytest.mark.parametrize("method", ["exs", "anns", "cts"])
     def test_fresh_index_matches_unsharded(self, shards, method):
-        """``shards=`` leaves the plan alone: bit-identical answers for
-        ExS, exact-index ANNS and CTS (which once clustered per shard)."""
+        """``shards=`` leaves the plan alone: bit-identical answers, per
+        query and per batch, for ExS, exact-index ANNS and CTS (which
+        once clustered per shard)."""
         fed = federation(range(8))
         base = make_engine().index(fed)
         sharded = make_engine(shards=shards).index(fed)
         assert_identical(base, sharded, method)
-
-    @pytest.mark.parametrize("method", ["exs", "anns"])
-    def test_batch_matches_unsharded_and_workers_agree(self, method):
-        fed = federation(range(8))
-        base = make_engine().index(fed)
-        sharded = make_engine(shards=3).index(fed)
-        want = base.search_batch(QUERIES, method=method, k=100, h=-1.0)
-        got = sharded.search_batch(QUERIES, method=method, k=100, h=-1.0)
-        for w, g in zip(want, got):
-            assert w.relation_ids() == g.relation_ids()
-            for mw, mg in zip(w.matches, g.matches):
-                assert mg.score == pytest.approx(mw.score, abs=SCORE_TOL)
 
     def test_default_budget_truncation_matches(self):
         """With the auto budget (256 for small corpora) a ``shards=4``
@@ -138,18 +56,6 @@ class TestShardedEngineEquivalence:
             assert a.relation_ids() == b.relation_ids()
             for ma, mb in zip(a.matches, b.matches):
                 assert ma.score == pytest.approx(mb.score, abs=SCORE_TOL)
-
-    def test_cts_sharded_answers(self):
-        sharded = DiscoveryEngine(
-            dim=48,
-            method_params={
-                "cts": {"min_cluster_size": 4, "umap_neighbors": 5, "umap_epochs": 30}
-            },
-            shards=3,
-        ).index(federation(range(8)))
-        result = sharded.search("vaccine booster trial", method="cts", k=10, h=-1.0)
-        assert result.relation_ids()
-        assert qualified(0) in result.relation_ids()
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ConfigurationError):

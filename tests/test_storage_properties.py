@@ -3,12 +3,12 @@
 The storage layer's contract is that *how* an index got into memory —
 cold ``index()`` build, eager snapshot load, or ``mmap=True`` mapped
 load — is undetectable in search results: rankings identical, scores
-exact (the snapshot stores the engine's scan dtype, so the mapped bytes
+exact (the snapshot stores the float32 scan dtype, so the mapped bytes
 ARE the cold-build bytes).  That must hold across methods, ``shards=``
-values, both scan dtypes, across lifecycle deltas applied after a load,
-and for the sharded layout (``shard-<i>/`` sub-snapshots under a root
-manifest) that engines built with ``shards > 1`` used to save, once
-``repro.storage.migrate`` has converted it.
+values, across lifecycle deltas applied after a load, and for the
+retired layouts — the sharded one (``shard-<i>/`` sub-snapshots under a
+root manifest) that engines built with ``shards > 1`` used to save, and
+float64 snapshots — once ``repro.storage.migrate`` has converted them.
 """
 
 from __future__ import annotations
@@ -21,29 +21,28 @@ import pytest
 from repro.core import DiscoveryEngine
 from repro.core.semimg import relation_centroids
 from repro.datamodel.relation import Federation
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import StorageError
 from repro.storage import SegmentWriter, live_mapped_paths, open_snapshot
 from repro.storage.migrate import migrate
 
-from tests.legacy_layouts import save_sharded, save_without_centroids
-from tests.test_sharding import (
+from tests.engine_equivalence import (
     QUERIES,
     assert_same_rankings,
     make_relation,
     qualified,
 )
+from tests.legacy_layouts import save_float64, save_sharded, save_without_centroids
 
 
 def federation(n: int = 8) -> Federation:
     return Federation.from_relations([make_relation(s) for s in range(n)])
 
 
-def make_engine(shards: int = 1, dtype: type = np.float32) -> DiscoveryEngine:
+def make_engine(shards: int = 1) -> DiscoveryEngine:
     return DiscoveryEngine(
         dim=48,
         method_params={"anns": {"index_kind": "exact", "n_candidates": 10_000}},
         shards=shards,
-        dtype=dtype,
         executor="inline",
     )
 
@@ -70,16 +69,24 @@ def test_reload_matches_cold_build(tmp_path, shards, method, mmap):
     assert not live_mapped_paths()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_reload_matches_cold_build_both_dtypes(tmp_path, dtype):
+@pytest.mark.parametrize("stored", [np.float32, np.float64], ids=["f32", "f64"])
+def test_reload_matches_cold_build_both_dtypes(tmp_path, stored):
+    """A float32 snapshot maps as saved; a float64 one is refused, then
+    migrates to float32 and serves the cold build's bits."""
     fed = federation()
-    with make_engine(shards=2, dtype=dtype).index(fed) as cold:
-        cold.save_index(tmp_path / "snap")
-        loaded = make_engine(shards=2, dtype=dtype).load_index(
-            tmp_path / "snap", mmap=True
-        )
+    with make_engine(shards=2).index(fed) as cold:
+        if stored is np.float32:
+            cold.save_index(tmp_path / "snap")
+        else:
+            save_float64(cold.embeddings, tmp_path / "old")
+            with make_engine(shards=2) as refusing:
+                with pytest.raises(StorageError, match="float64 .* repro.storage migrate"):
+                    refusing.load_index(tmp_path / "old", mmap=True)
+            migrate(tmp_path / "old", tmp_path / "snap")
+        loaded = make_engine(shards=2).load_index(tmp_path / "snap", mmap=True)
         with loaded as warm:
-            assert_scores_exact(cold, warm, "exs")
+            for method in ("exs", "anns"):
+                assert_scores_exact(cold, warm, method)
     assert not live_mapped_paths()
 
 
@@ -163,7 +170,7 @@ def test_torn_sharded_snapshot_is_refused(tmp_path, mmap):
 
 
 @pytest.mark.parametrize(
-    "dtype,mmap,saved_without",
+    "stored,mmap,saved_without",
     [
         pytest.param(np.float32, False, False, id="f32-eager"),
         pytest.param(np.float32, True, False, id="f32-mmap"),
@@ -172,22 +179,27 @@ def test_torn_sharded_snapshot_is_refused(tmp_path, mmap):
         pytest.param(np.float64, True, True, id="f64-mmap-migrated"),
     ],
 )
-def test_saved_centroids_are_the_computed_bits(tmp_path, dtype, mmap, saved_without):
+def test_saved_centroids_are_the_computed_bits(tmp_path, stored, mmap, saved_without):
     """A snapshot carries the ExS centroids, so a load serves them
     without a pass over every value vector — and they are exactly what
     that pass would compute, until a delta makes the store recompute.
-    A snapshot saved without them is refused until ``migrate`` adds
-    them."""
-    with make_engine(dtype=dtype).index(federation()) as cold:
+    A snapshot saved without them, or with ``stored`` float64 vectors,
+    is refused until ``migrate`` rewrites it."""
+    with make_engine().index(federation()) as cold:
         if saved_without:
-            save_without_centroids(cold.embeddings, tmp_path / "old", dtype=dtype)
-            with make_engine(dtype=dtype) as refusing:
-                with pytest.raises(StorageError, match="no centroids .* repro.storage migrate"):
-                    refusing.load_index(tmp_path / "old", mmap=mmap)
-            migrate(tmp_path / "old", tmp_path / "snap")
+            save_without_centroids(cold.embeddings, tmp_path / "old", dtype=stored)
+        elif stored is np.float64:
+            save_float64(cold.embeddings, tmp_path / "old")
         else:
             cold.save_index(tmp_path / "snap")
-    with make_engine(dtype=dtype).load_index(tmp_path / "snap", mmap=mmap) as warm:
+        if (tmp_path / "old").exists():
+            # The dtype is checked first, then the centroids.
+            refusal = "float64" if stored is np.float64 else "no centroids"
+            with make_engine() as refusing:
+                with pytest.raises(StorageError, match=f"{refusal} .* repro.storage migrate"):
+                    refusing.load_index(tmp_path / "old", mmap=mmap)
+            migrate(tmp_path / "old", tmp_path / "snap")
+    with make_engine().load_index(tmp_path / "snap", mmap=mmap) as warm:
         store = warm.embeddings
         saved, generation = store.saved_centroids
         assert generation == store.generation
@@ -251,33 +263,35 @@ def test_snapshot_without_relations_is_refused(tmp_path):
 
 
 class TestDtypeMismatch:
-    """Satellite regression: a snapshot's stored dtype must match the
-    loading engine's configured dtype, failing loudly up front."""
+    """Snapshots hold float32 vectors.  A float64 one, as engines built
+    with ``dtype=float64`` saved it, fails loudly up front and names the
+    command that converts it."""
 
     def test_load_index_names_both_dtypes(self, tmp_path):
-        with make_engine(dtype=np.float32).index(federation(4)) as engine:
-            engine.save_index(tmp_path / "snap")
-        with make_engine(dtype=np.float64) as mismatched:
-            with pytest.raises(ConfigurationError) as excinfo:
+        with make_engine().index(federation(4)) as engine:
+            save_float64(engine.embeddings, tmp_path / "snap")
+        with make_engine() as mismatched:
+            with pytest.raises(StorageError) as excinfo:
                 mismatched.load_index(tmp_path / "snap")
-            assert "float32" in str(excinfo.value)
             assert "float64" in str(excinfo.value)
+            assert "float32" in str(excinfo.value)
+            assert "python -m repro.storage migrate" in str(excinfo.value)
             assert not mismatched.is_indexed
 
     def test_sharded_snapshot_checked_at_the_root(self, tmp_path):
-        """The root's dtype is the one ``migrate`` keeps."""
-        with make_engine(dtype=np.float64).index(federation(6)) as engine:
+        """``migrate`` writes float32 whatever dtype the root recorded."""
+        with make_engine().index(federation(6)) as engine:
             save_sharded(engine.embeddings, tmp_path / "old", shards=3, dtype=np.float64)
+        assert open_snapshot(tmp_path / "old").meta["dtype"] == "float64"
         migrate(tmp_path / "old", tmp_path / "snap")
-        assert open_snapshot(tmp_path / "snap").meta["dtype"] == "float64"
-        with make_engine(shards=3, dtype=np.float32) as mismatched:
-            with pytest.raises(ConfigurationError) as excinfo:
-                mismatched.load_index(tmp_path / "snap", mmap=True)
-            assert "float64" in str(excinfo.value)
+        assert open_snapshot(tmp_path / "snap").meta["dtype"] == "float32"
+        with make_engine(shards=3).load_index(tmp_path / "snap", mmap=True) as warm:
+            assert warm.embeddings.value_table().vectors.dtype == np.float32
         assert not live_mapped_paths()
 
     def test_matching_dtype_loads(self, tmp_path):
-        with make_engine(dtype=np.float64).index(federation(4)) as engine:
+        with make_engine().index(federation(4)) as engine:
             engine.save_index(tmp_path / "snap")
-        with make_engine(dtype=np.float64).load_index(tmp_path / "snap") as warm:
+        assert open_snapshot(tmp_path / "snap").meta["dtype"] == "float32"
+        with make_engine().load_index(tmp_path / "snap") as warm:
             assert warm.is_indexed
